@@ -4,18 +4,13 @@
    host wall-clock throughput of [Memsys.access] and the engine around it.
 
    Two families:
-   - the original 1/8-proc hot-path kernels (regression-tracked since PR 4);
-   - a scaling family at 16/32/64/128 simulated procs, each measured on the
-     sequential event loop and on the domain-sharded loop (--shards 4),
-     recording the shard speedup in cycles/host-second. The sharded run's
-     cycle count is asserted equal to the sequential one — the byte-identity
-     contract — before anything is timed. Shard speedup depends on host
-     cores: on a single-core host the sharded loop serializes and the
-     recorded speedup is honest (≤ 1).
+   - the original 1/8-proc hot-path kernels;
+   - a scaling family at 16/32/64/128 simulated procs, showing how host
+     cost per simulated cycle grows with the machine.
 
    Writes BENCH_simperf.json {kernel -> host seconds/run, sim cycles/run,
-   cycles/sec, shard speedup} to seed the perf trajectory; compare the file
-   across revisions of the simulator to see hot-path regressions. *)
+   cycles/sec} to seed the perf trajectory; compare the file across
+   revisions of the simulator to see hot-path regressions. *)
 
 module W = Workloads
 module H = Harness
@@ -90,7 +85,7 @@ let scaling_kernels ~quick =
     procs
 
 (* ns/run by bechamel's OLS estimator over the monotonic clock *)
-let ns_per_run ~quota ~shards k =
+let ns_per_run ~quota k =
   let open Bechamel in
   let open Toolkit in
   let test =
@@ -98,7 +93,7 @@ let ns_per_run ~quota ~shards k =
       (Staged.stage (fun () ->
            ignore
              (H.run_prog ~setup:k.setup ~version:k.version ~nprocs:k.nprocs
-                ~shards k.prog)))
+                k.prog)))
   in
   let instance = Instance.monotonic_clock in
   let cfg =
@@ -118,61 +113,37 @@ let ns_per_run ~quota ~shards k =
     results;
   !est
 
-let deterministic_run ?(shards = 1) k =
-  H.run_prog ~setup:k.setup ~version:k.version ~nprocs:k.nprocs ~shards k.prog
+(* one timed row: deterministic cycle/access counts, then host time *)
+let measure ~quota k =
+  let o = H.run_prog ~setup:k.setup ~version:k.version ~nprocs:k.nprocs k.prog in
+  let cycles = o.Ddsm_core.Ddsm.Engine.cycles in
+  let accesses =
+    Ddsm_machine.Counters.accesses o.Ddsm_core.Ddsm.Engine.counters
+  in
+  let secs = ns_per_run ~quota k *. 1e-9 in
+  let cps = float_of_int cycles /. secs in
+  Format.fprintf ppf
+    "  %-36s %10.4f s/run  %12d cycles  %11.3e cycles/s  %9.3e accesses/s@."
+    k.name secs cycles cps
+    (float_of_int accesses /. secs);
+  Json.Obj
+    [
+      ("kernel", Json.Str k.name);
+      ("nprocs", Json.Int k.nprocs);
+      ("host_seconds_per_run", Json.Float secs);
+      ("sim_cycles_per_run", Json.Int cycles);
+      ("accesses_per_run", Json.Int accesses);
+      ("cycles_per_host_second", Json.Float cps);
+    ]
 
 let () =
   let args = Array.to_list Sys.argv |> List.tl in
   let quick = List.mem "--quick" args in
   let quota = if quick then 0.4 else 1.5 in
   Format.fprintf ppf "==== selfperf: simulated cycles per host second ====@.@.";
-  let rows =
-    List.map
-      (fun k ->
-        let o = deterministic_run k in
-        let cycles = o.Ddsm_core.Ddsm.Engine.cycles in
-        let accesses =
-          Ddsm_machine.Counters.accesses o.Ddsm_core.Ddsm.Engine.counters
-        in
-        let ns = ns_per_run ~quota ~shards:1 k in
-        let secs = ns *. 1e-9 in
-        let cps = float_of_int cycles /. secs in
-        Format.fprintf ppf
-          "  %-36s %10.4f s/run  %12d cycles  %11.3e cycles/s  %9.3e accesses/s@."
-          k.name secs cycles cps
-          (float_of_int accesses /. secs);
-        (k, secs, cycles, accesses, cps))
-      (kernels ~quick)
-  in
-  Format.fprintf ppf "@.==== scaling: 16..128 procs, 1 vs 4 shards ====@.@.";
-  let scaling_rows =
-    List.map
-      (fun k ->
-        let o1 = deterministic_run k in
-        let o4 = deterministic_run ~shards:4 k in
-        let cycles = o1.Ddsm_core.Ddsm.Engine.cycles in
-        (* byte-identity gate: a sharded run that disagrees on total cycles
-           is a correctness bug, not a data point *)
-        if o4.Ddsm_core.Ddsm.Engine.cycles <> cycles then begin
-          Format.fprintf ppf
-            "  FAIL %s: sharded run diverged (%d vs %d cycles)@." k.name
-            cycles o4.Ddsm_core.Ddsm.Engine.cycles;
-          exit 3
-        end;
-        let accesses =
-          Ddsm_machine.Counters.accesses o1.Ddsm_core.Ddsm.Engine.counters
-        in
-        let secs1 = ns_per_run ~quota ~shards:1 k *. 1e-9 in
-        let secs4 = ns_per_run ~quota ~shards:4 k *. 1e-9 in
-        let cps1 = float_of_int cycles /. secs1 in
-        let cps4 = float_of_int cycles /. secs4 in
-        let speedup = cps4 /. cps1 in
-        Format.fprintf ppf
-          "  %-36s %12d cycles  %11.3e cycles/s  %11.3e cycles/s @@4sh  %5.2fx@."
-          k.name cycles cps1 cps4 speedup;
-        (k, secs1, secs4, cycles, accesses, cps1, cps4, speedup))
-      (scaling_kernels ~quick)
-  in
+  let rows = List.map (measure ~quota) (kernels ~quick) in
+  Format.fprintf ppf "@.==== scaling: 16..128 procs ====@.@.";
+  let scaling_rows = List.map (measure ~quota) (scaling_kernels ~quick) in
   let open Json in
   H.write_json ppf ~path:"BENCH_simperf.json"
     (Obj
@@ -180,34 +151,6 @@ let () =
          ("experiment", Str "simperf");
          ("quick", Bool quick);
          ("host_cores", Int (Domain.recommended_domain_count ()));
-         ( "kernels",
-           List
-             (List.map
-                (fun (k, secs, cycles, accesses, cps) ->
-                  Obj
-                    [
-                      ("kernel", Str k.name);
-                      ("host_seconds_per_run", Float secs);
-                      ("sim_cycles_per_run", Int cycles);
-                      ("accesses_per_run", Int accesses);
-                      ("cycles_per_host_second", Float cps);
-                    ])
-                rows) );
-         ( "scaling",
-           List
-             (List.map
-                (fun (k, secs1, secs4, cycles, accesses, cps1, cps4, speedup) ->
-                  Obj
-                    [
-                      ("kernel", Str k.name);
-                      ("nprocs", Int k.nprocs);
-                      ("host_seconds_per_run", Float secs1);
-                      ("host_seconds_per_run_4shards", Float secs4);
-                      ("sim_cycles_per_run", Int cycles);
-                      ("accesses_per_run", Int accesses);
-                      ("cycles_per_host_second", Float cps1);
-                      ("cycles_per_host_second_4shards", Float cps4);
-                      ("shard_speedup_4v1", Float speedup);
-                    ])
-                scaling_rows) );
+         ("kernels", List rows);
+         ("scaling", List scaling_rows);
        ])

@@ -186,9 +186,14 @@ let () =
       ~doc:"Compiler for the mini-Fortran data-distribution language (PLDI'97 reproduction)."
   in
   try
+    (* cmdliner's CLI-error exit (124) becomes the documented usage exit 1 *)
     exit
-      (Cmd.eval ~catch:false
-         (Cmd.group info [ compile_cmd; link_cmd; build_cmd; check_cmd; dump_cmd ]))
+      (match
+         Cmd.eval ~catch:false
+           (Cmd.group info [ compile_cmd; link_cmd; build_cmd; check_cmd; dump_cmd ])
+       with
+      | c when c = Cmd.Exit.cli_error -> 1
+      | c -> c)
   with
   (* OS errors from reading sources or writing objects/images (unwritable
      -o path, full disk) take the documented usage/IO exit-1 path.  A

@@ -4,7 +4,7 @@
    placement policy, flags} requests on a Unix-domain socket, memoizes
    compilation and simulation behind content-addressed caches, and
    schedules non-cached work over the Jobs domain pool with fair
-   round-robin queueing and per-request cycle budgets. See DESIGN.md §14.
+   round-robin queueing and per-request cycle budgets. See DESIGN.md §13.
 
    Exit codes match the other CLIs: 0 clean shutdown (SIGTERM/SIGINT or a
    shutdown request), 1 usage/IO (socket path unusable), 2 user error
@@ -95,4 +95,5 @@ let () =
             use $(b,pflrun --connect).")
       Term.(const run $ sock $ workers $ cache_dir $ no_cache $ budget $ verbose)
   in
-  exit (Cmd.eval cmd)
+  (* cmdliner's CLI-error exit (124) becomes the documented usage exit 1 *)
+  exit (match Cmd.eval cmd with c when c = Cmd.Exit.cli_error -> 1 | c -> c)

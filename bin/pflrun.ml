@@ -65,15 +65,24 @@ let config_of_machine ~machine ~nprocs =
    invariants) surface as a structured Diag located at the configuration
    phase, naming the offending parameter, not an uncaught exception. *)
 let run_once linked ~nprocs ~policy ~machine ~heap_words ~checks ~bounds
-    ~max_cycles ~audit ~fault ?(shards = 1) ?profile ?sanitize () =
+    ~max_cycles ~audit ~fault ?profile ?sanitize () =
   let module Config = Ddsm_machine.Config in
-  match Config.validate (config_of_machine ~machine ~nprocs) with
-  | Error e -> Error (Diag.user ~phase:"config" e)
-  | Ok () ->
-      let prog = Ddsm.prog_of_linked linked in
-      let rt = Ddsm.make_rt ~machine ~policy ~heap_words ~fault ~nprocs () in
-      Ddsm.run prog ~rt ~checks ~bounds ?max_cycles ~audit ~shards ?profile
-        ?sanitize ()
+  let module Heap = Ddsm_runtime.Heap in
+  if heap_words < 1 || heap_words > Heap.max_words then
+    Error
+      (Diag.user ~phase:"cli"
+         (Printf.sprintf "--heap-words %d: must be in [1, %d]" heap_words
+            Heap.max_words))
+  else
+    match Config.validate (config_of_machine ~machine ~nprocs) with
+    | Error e -> Error (Diag.user ~phase:"config" e)
+    | Ok () -> (
+        let prog = Ddsm.prog_of_linked linked in
+        match Ddsm.make_rt ~machine ~policy ~heap_words ~fault ~nprocs () with
+        | exception Heap.Out_of_memory m -> Error (Diag.user ~phase:"config" m)
+        | rt ->
+            Ddsm.run prog ~rt ~checks ~bounds ?max_cycles ~audit ?profile
+              ?sanitize ())
 
 (* the sanitizer classifies false sharing with the simulated machine's own
    L2-line/page geometry, so build it from the same config make_rt uses *)
@@ -248,7 +257,7 @@ let connect_run ~sock ~src_path ~nprocs ~policy ~machine ~heap_words
               fail_diag (Diag.internal ~phase:"connect" "malformed service reply")))
 
 let run image nprocs policy machine heap_words stats no_checks bounds
-    max_cycles fault audit differ seed jobs shards profile trace race
+    max_cycles fault audit differ seed jobs profile trace race
     race_json connect =
   try
     match connect with
@@ -257,14 +266,14 @@ let run image nprocs policy machine heap_words stats no_checks bounds
           differ <> None || profile || trace <> None || race
           || race_json <> None || audit
           || not (Fault.is_none fault)
-          || stats || shards <> 1 || no_checks || bounds
+          || stats || no_checks || bounds
         then
           fail_diag
             (Diag.user ~phase:"cli"
                "--connect supports plain runs only (nprocs, policy, machine, \
                 heap-words, max-cycles); run locally for --differential, \
                 --profile, --trace, --race, --audit, --fault, --stats, \
-                --shards, --bounds or --no-checks")
+                --bounds or --no-checks")
         else
           connect_run ~sock ~src_path:image ~nprocs ~policy ~machine
             ~heap_words ~max_cycles
@@ -292,7 +301,7 @@ let run image nprocs policy machine heap_words stats no_checks bounds
             in
             match
               run_once linked ~nprocs ~policy ~machine ~heap_words ~checks
-                ~bounds ~max_cycles ~audit ~fault ~shards ?profile:prof
+                ~bounds ~max_cycles ~audit ~fault ?profile:prof
                 ?sanitize:san ()
             with
             | Error d -> fail_diag d
@@ -366,14 +375,13 @@ let run image nprocs policy machine heap_words stats no_checks bounds
   | Invalid_argument m -> fail_diag (Diag.user ~phase:"cli" m)
 
 let () =
-  (* env-supplied defaults are user input: a malformed DDSM_JOBS/DDSM_SHARDS
-     is a located user error (exit 2), not an internal failure *)
-  let env_default = function
+  (* env-supplied defaults are user input: a malformed DDSM_JOBS is a
+     located user error (exit 2), not an internal failure *)
+  let default_jobs =
+    match Ddsm_util.Jobs.default_jobs () with
     | Ok n -> n
     | Error e -> fail_diag (Diag.user ~phase:"env" e)
   in
-  let default_jobs = env_default (Ddsm_util.Jobs.default_jobs ()) in
-  let default_shards = env_default (Ddsm_util.Jobs.default_shards ()) in
   let image =
     Arg.(
       required
@@ -455,18 +463,6 @@ let () =
              (default from $(b,DDSM_JOBS), else 1). Results are reported in \
              configuration order, so the output is identical for any N.")
   in
-  let shards =
-    Arg.(
-      value
-      & opt int default_shards
-      & info [ "shards" ] ~docv:"N"
-          ~doc:
-            "Shard the simulation itself across N domains (default from \
-             $(b,DDSM_SHARDS), else 1): parallel-region interpreter \
-             segments run on worker domains while one coordinator commits \
-             every memory-system event in exact simulated-time order, so \
-             output is byte-identical for any N.")
-  in
   let profile =
     Arg.(
       value & flag
@@ -524,6 +520,7 @@ let () =
       Term.(
         const run $ image $ nprocs $ policy $ machine $ heap $ stats $ no_checks
         $ bounds $ max_cycles $ fault $ audit $ differential $ seed $ jobs
-        $ shards $ profile $ trace $ race $ race_json $ connect)
+        $ profile $ trace $ race $ race_json $ connect)
   in
-  exit (Cmd.eval cmd)
+  (* cmdliner's CLI-error exit (124) becomes the documented usage exit 1 *)
+  exit (match Cmd.eval cmd with c when c = Cmd.Exit.cli_error -> 1 | c -> c)

@@ -10,6 +10,8 @@ let word_bytes = 8
 
 exception Out_of_memory of string
 
+let max_words = 1 lsl 27
+
 (* Zeroing policy: words are zeroed when [alloc] hands them out, not at
    [create]. Program-visible memory (always inside some allocation) still
    reads deterministically as zero until written, but creating a runtime
@@ -17,9 +19,15 @@ exception Out_of_memory of string
    heap per job, and a prefill of the whole arena dominated small runs. *)
 let create ~words =
   if words < 1 then invalid_arg "Heap.create";
-  let reals = Bigarray.Array1.create Bigarray.float64 Bigarray.c_layout words in
-  let ints = Bigarray.Array1.create Bigarray.int Bigarray.c_layout words in
-  { reals; ints; brk = 0 }
+  match
+    ( Bigarray.Array1.create Bigarray.float64 Bigarray.c_layout words,
+      Bigarray.Array1.create Bigarray.int Bigarray.c_layout words )
+  with
+  | reals, ints -> { reals; ints; brk = 0 }
+  | exception Stdlib.Out_of_memory ->
+      raise
+        (Out_of_memory
+           (Printf.sprintf "cannot allocate a simulated heap of %d words" words))
 
 let size_words t = Bigarray.Array1.dim t.reals
 let used_words t = t.brk

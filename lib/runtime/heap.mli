@@ -20,7 +20,14 @@ exception Out_of_memory of string
     error of the simulated program, distinct from [Failure] so it is never
     mistaken for an internal invariant violation. *)
 
+val max_words : int
+(** [1 lsl 27] — the largest heap a CLI flag or service request may ask
+    for (8x the default [1 lsl 24]); larger values are user errors. *)
+
 val create : words:int -> t
+(** Raises [Invalid_argument] when [words < 1] and {!Out_of_memory} when
+    the host cannot allocate the two word arrays. *)
+
 val size_words : t -> int
 val used_words : t -> int
 

@@ -119,9 +119,12 @@ let run_of_json j =
   let* heap_words =
     match (field j "heap_words", int_field j "heap_words") with
     | None, _ -> Ok (1 lsl 24)
-    | Some _, Some n when n >= 1 -> Ok n
+    | Some _, Some n when n >= 1 && n <= Ddsm_runtime.Heap.max_words -> Ok n
     | Some _, _ ->
-        Error "run request: \"heap_words\" must be a positive integer"
+        Error
+          (Printf.sprintf
+             "run request: \"heap_words\" must be an integer in [1, %d]"
+             Ddsm_runtime.Heap.max_words)
   in
   let* max_cycles =
     match (field j "max_cycles", int_field j "max_cycles") with

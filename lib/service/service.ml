@@ -108,13 +108,15 @@ let simulate cfg linked (r : Proto.run_req) =
   | Error e -> Error (Diag.user ~phase:"config" e)
   | Ok () ->
       let prog = Ddsm.prog_of_linked linked in
-      let rt =
+      match
         Ddsm.make_rt
           ~machine:(machine_of_string r.machine)
           ~policy:(policy_of_string r.policy)
           ~heap_words:r.heap_words ~nprocs:r.nprocs ()
-      in
-      Ddsm.run prog ~rt ?max_cycles:(effective_budget cfg r) ()
+      with
+      | exception Ddsm_runtime.Heap.Out_of_memory m ->
+          Error (Diag.user ~phase:"config" m)
+      | rt -> Ddsm.run prog ~rt ?max_cycles:(effective_budget cfg r) ()
 
 let body_of_diag (d : Diag.t) =
   Proto.error_body ~code:(Diag.code d) ~phase:d.Diag.phase

@@ -4,7 +4,8 @@
    implementations ([Pagetable_ref]/[Directory_ref]) on every observable.
    Plus determinism tests for the [Jobs] domain pool: a parallel map must
    return exactly what the sequential one does, including which exception
-   is re-raised. *)
+   is re-raised; and the observer transparency contract on generated
+   programs. *)
 
 module Config = Ddsm_machine.Config
 module Pagetable = Ddsm_machine.Pagetable
@@ -225,22 +226,21 @@ let test_directory_oracle () =
   done
 
 (* ------------------------------------------------------------------ *)
-(* sharded-engine determinism: the probe-stream merge.
+(* transparency: observers watch, never perturb.
 
-   The domain-sharded event loop (Engine.run ~shards) commits every
-   memory-system event on the coordinator in exact sequential order, so
-   every observer downstream of the commit stream — the profile
-   attribution table, the sanitizer's race/false-sharing reports, and the
-   Stats view (including its internal counter-accounting audit) — must
-   come out identical for 1 vs N shards, program by program.  Programs
-   come from the fuzz generator for structural diversity. *)
+   Attaching the cycle-attribution profiler and the happens-before
+   sanitizer must leave every value and every timing untouched: prints,
+   final cycle count and machine counters equal a bare run's, and the
+   counters pass the Stats accounting audit.  Programs come from the fuzz
+   generator for structural diversity. *)
 
 module Ddsm = Ddsm_core.Ddsm
 module Gen = Ddsm_fuzz.Gen
 module Spec = Ddsm_fuzz.Spec
 module Stats = Ddsm_report.Stats
+module Counters = Ddsm_machine.Counters
 
-let shard_observables files ~shards =
+let observed_run files ~observe =
   let objs =
     List.map
       (fun (fname, src) ->
@@ -257,43 +257,42 @@ let shard_observables files ~shards =
   in
   let nprocs = 4 in
   let cfg = Config.scaled ~nprocs () in
-  let sanitize =
-    Ddsm.Sanitize.create ~nprocs
-      ~line_bytes:cfg.Config.l2.Config.line_bytes
-      ~page_bytes:cfg.Config.page_bytes ()
+  let sanitize, profile =
+    if observe then
+      ( Some
+          (Ddsm.Sanitize.create ~nprocs
+             ~line_bytes:cfg.Config.l2.Config.line_bytes
+             ~page_bytes:cfg.Config.page_bytes ()),
+        Some (Ddsm.Profile.create ()) )
+    else (None, None)
   in
-  let profile = Ddsm.Profile.create () in
   let rt = Ddsm.make_rt ~heap_words:(1 lsl 18) ~nprocs () in
-  match
-    Ddsm.run prog ~rt ~checks:true ~bounds:true ~max_cycles:60_000_000
-      ~shards ~profile ~sanitize ()
-  with
-  | Error d -> "diag:" ^ Ddsm.Diag.code d
-  | Ok o ->
-      String.concat "\n--\n"
-        [
-          String.concat "|" o.Ddsm.Engine.prints;
-          string_of_int o.Ddsm.Engine.cycles;
-          Format.asprintf "%a" Stats.pp
-            (Stats.of_counters o.Ddsm.Engine.counters);
-          String.concat "|" (Stats.audit o.Ddsm.Engine.counters);
-          Format.asprintf "%a" (Ddsm.Profile.pp_report ~top:16) profile;
-          Format.asprintf "%a" Ddsm.Sanitize.pp_report sanitize;
-        ]
+  Ddsm.run prog ~rt ~checks:true ~bounds:true ~max_cycles:60_000_000
+    ?profile ?sanitize ()
 
-let test_sharded_probe_stream () =
+let test_observers_transparent () =
   for seed = 0 to 11 do
     let files = Spec.render (Gen.generate ~seed ()) in
-    let base = shard_observables files ~shards:1 in
-    List.iter
-      (fun shards ->
-        let got = shard_observables files ~shards in
-        if got <> base then
-          Alcotest.failf
-            "seed %d: observables diverge at %d shards\n-- 1 shard --\n%s\n\
-             -- %d shards --\n%s"
-            seed shards base shards got)
-      [ 2; 3; 4 ]
+    let bare = observed_run files ~observe:false in
+    match (bare, observed_run files ~observe:true) with
+    | Ok b, Ok o ->
+        let what w = Printf.sprintf "seed %d: %s" seed w in
+        Alcotest.(check (list string))
+          (what "prints") b.Ddsm.Engine.prints o.Ddsm.Engine.prints;
+        Alcotest.(check int)
+          (what "cycles") b.Ddsm.Engine.cycles o.Ddsm.Engine.cycles;
+        Alcotest.(check (list (pair string int)))
+          (what "counters")
+          (Counters.to_assoc b.Ddsm.Engine.counters)
+          (Counters.to_assoc o.Ddsm.Engine.counters);
+        Alcotest.(check (list string))
+          (what "Stats.audit") [] (Stats.audit o.Ddsm.Engine.counters)
+    | Error b, Error o ->
+        Alcotest.(check string)
+          (Printf.sprintf "seed %d: diag" seed)
+          (Ddsm.Diag.code b) (Ddsm.Diag.code o)
+    | Ok _, Error d | Error d, Ok _ ->
+        Alcotest.failf "seed %d: ok vs %s" seed (Ddsm.Diag.code d)
   done
 
 (* ------------------------------------------------------------------ *)
@@ -384,9 +383,9 @@ let () =
           Alcotest.test_case "empty and single" `Quick
             test_jobs_empty_and_single;
         ] );
-      ( "shards",
+      ( "transparency",
         [
-          Alcotest.test_case "probe stream identical 1 vs N shards" `Quick
-            test_sharded_probe_stream;
+          Alcotest.test_case "observers attached = bare run" `Quick
+            test_observers_transparent;
         ] );
     ]

@@ -1,7 +1,7 @@
 (* Tests for the pfld service stack (ROADMAP item 4) and the hardened
    persistence / CLI error paths it depends on:
 
-   - Jobs env parsing: malformed DDSM_JOBS/DDSM_SHARDS are located user
+   - Jobs env parsing: a malformed DDSM_JOBS is a located user
      errors, never bare exceptions (table-driven; the CLI halves of the
      table live in the bin/dune smoke);
    - Json.of_string: the line-framed protocol's parser;
@@ -84,12 +84,7 @@ let test_jobs_env_defaults () =
   with_env "DDSM_JOBS" "3" (fun () ->
       check_bool "DDSM_JOBS=3" true (Jobs.default_jobs () = Ok 3));
   with_env "DDSM_JOBS" "bogus" (fun () ->
-      check_error_mentions "DDSM_JOBS=bogus" "DDSM_JOBS" (Jobs.default_jobs ()));
-  with_env "DDSM_SHARDS" "2" (fun () ->
-      check_bool "DDSM_SHARDS=2" true (Jobs.default_shards () = Ok 2));
-  with_env "DDSM_SHARDS" "-1" (fun () ->
-      check_error_mentions "DDSM_SHARDS=-1" "DDSM_SHARDS"
-        (Jobs.default_shards ()))
+      check_error_mentions "DDSM_JOBS=bogus" "DDSM_JOBS" (Jobs.default_jobs ()))
 
 (* ------------------------------------------------------------------ *)
 (* Json.of_string *)
@@ -399,6 +394,10 @@ let test_proto_errors () =
   err {|{"op":"run","id":1,"source":"s","policy":"best"}|} "policy";
   err {|{"op":"run","id":1,"source":"s","machine":"cray"}|} "machine";
   err {|{"op":"run","id":1,"source":"s","max_cycles":-5}|} "max_cycles";
+  err {|{"op":"run","id":1,"source":"s","heap_words":0}|} "heap_words";
+  err {|{"op":"run","id":1,"source":"s","heap_words":134217729}|} "heap_words";
+  err {|{"op":"run","id":1,"source":"s","heap_words":4611686018427387903}|}
+    "heap_words";
   err {|{"op":"run","id":1,"source":"s","flags_off":["warp"]}|} "warp";
   err {|{"op":"run","id":1,"source":"s","flags_off":"tile"}|} "flags_off"
 
@@ -579,7 +578,14 @@ let test_service_proto_error_reply () =
       check_bool "id is null" true (Proto.field j "id" = Some Json.Null);
       check_str "phase" "proto" (Option.get (Proto.str_field j "phase"));
       send_run c (mk_req ~id:2 hello_src);
-      ignore (recv_ok c))
+      ignore (recv_ok c);
+      (* an oversized heap is refused by name and the daemon stays up *)
+      send_run c (mk_req ~id:3 ~heap_words:max_int hello_src);
+      let j = recv_error c in
+      check_bool "names heap_words" true
+        (contains (Option.get (Proto.str_field j "error")) "heap_words");
+      Client.send c (Json.Obj [ ("op", Json.Str "ping"); ("id", Json.Int 4) ]);
+      check_int "ping after oversized request" 4 (stat (recv_ok c) "id"))
 
 (* a hostile (budget-exceeding) request yields a structured cycle-budget
    error of the user class and does not poison the daemon *)
