@@ -91,6 +91,12 @@ let flags_of_off off =
 (* ------------------------------------------------------------------ *)
 (* Parsing a request line *)
 
+(* Longest request line the daemon buffers (16 MiB, newline excluded). A
+   longer line is answered with one proto error and discarded up to its
+   newline, so a client that never sends one cannot grow the daemon's
+   input buffer without limit. *)
+let max_line_bytes = 1 lsl 24
+
 let run_of_json j =
   let ( let* ) = Result.bind in
   let* id =

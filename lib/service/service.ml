@@ -47,6 +47,9 @@ let default_budget = 100_000_000
 type client = {
   fd : U.file_descr;
   inbuf : Buffer.t;  (** bytes up to the last incomplete line *)
+  mutable skipping : bool;
+      (** the current line outgrew [Proto.max_line_bytes]: drop input up to
+          its newline *)
   pending : Proto.run_req Queue.t;
   mutable alive : bool;
 }
@@ -244,15 +247,16 @@ let stats_reply t ~id =
      ]
     @ Cache.stats_fields t.cache)
 
+let proto_error c msg =
+  send c
+    (Json.Obj
+       (("id", Json.Null) :: Proto.error_body ~code:"user" ~phase:"proto" ~internal:false msg))
+
 let handle_line t c line =
   let line = String.trim line in
   if line <> "" then
     match Proto.request_of_line line with
-    | Error e ->
-        send c
-          (Json.Obj
-             (("id", Json.Null)
-             :: Proto.error_body ~code:"user" ~phase:"proto" ~internal:false e))
+    | Error e -> proto_error c e
     | Ok (Proto.Run r) ->
         t.requests <- t.requests + 1;
         Queue.push r c.pending
@@ -263,6 +267,14 @@ let handle_line t c line =
         t.stop <- true;
         t.shutdown_ack <- Some (c, id)
 
+let line_too_long c =
+  proto_error c
+    (Printf.sprintf "request line longer than %d bytes; discarded up to its newline"
+       Proto.max_line_bytes);
+  Buffer.reset c.inbuf
+
+(* Only the newly read bytes are scanned for newlines, and a line is copied
+   out once, when it completes: reading stays linear in the input. *)
 let read_client t c =
   let bytes = Bytes.create 65536 in
   match U.read c.fd bytes 0 (Bytes.length bytes) with
@@ -272,18 +284,27 @@ let read_client t c =
       Queue.clear c.pending;
       U.close c.fd
   | n ->
-      Buffer.add_subbytes c.inbuf bytes 0 n;
-      (* split off every complete line *)
-      let data = Buffer.contents c.inbuf in
-      Buffer.clear c.inbuf;
+      let rec newline i = if i >= n || Bytes.get bytes i = '\n' then i else newline (i + 1) in
       let rec go start =
-        match String.index_from_opt data start '\n' with
-        | Some nl ->
-            handle_line t c (String.sub data start (nl - start));
-            go (nl + 1)
-        | None ->
-            Buffer.add_substring c.inbuf data start
-              (String.length data - start)
+        let nl = newline start in
+        let fits = Buffer.length c.inbuf + (nl - start) <= Proto.max_line_bytes in
+        if nl < n then begin
+          if c.skipping then c.skipping <- false
+          else if not fits then line_too_long c
+          else begin
+            Buffer.add_subbytes c.inbuf bytes start (nl - start);
+            let line = Buffer.contents c.inbuf in
+            Buffer.clear c.inbuf;
+            handle_line t c line
+          end;
+          go (nl + 1)
+        end
+        else if not c.skipping then
+          if fits then Buffer.add_subbytes c.inbuf bytes start (nl - start)
+          else begin
+            line_too_long c;
+            c.skipping <- true
+          end
       in
       go 0
 
@@ -357,6 +378,7 @@ let serve cfg =
                         {
                           fd = cfd;
                           inbuf = Buffer.create 256;
+                          skipping = false;
                           pending = Queue.create ();
                           alive = true;
                         };

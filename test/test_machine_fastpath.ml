@@ -9,9 +9,7 @@
 
 module Config = Ddsm_machine.Config
 module Pagetable = Ddsm_machine.Pagetable
-module Pagetable_ref = Ddsm_machine.Pagetable_ref
 module Directory = Ddsm_machine.Directory
-module Directory_ref = Ddsm_machine.Directory_ref
 module Bitset = Ddsm_machine.Bitset
 module Jobs = Ddsm_util.Jobs
 

@@ -443,7 +443,7 @@ let test_round_robin_order () =
       let mk ids =
         let c =
           {
-            Service.fd = Unix.stdin; inbuf = Buffer.create 0;
+            Service.fd = Unix.stdin; inbuf = Buffer.create 0; skipping = false;
             pending = Queue.create (); alive = true;
           }
         in
@@ -586,6 +586,26 @@ let test_service_proto_error_reply () =
         (contains (Option.get (Proto.str_field j "error")) "heap_words");
       Client.send c (Json.Obj [ ("op", Json.Str "ping"); ("id", Json.Int 4) ]);
       check_int "ping after oversized request" 4 (stat (recv_ok c) "id"))
+
+(* a line longer than [Proto.max_line_bytes] gets one proto error naming
+   the limit; the rest of it, up to its newline, is dropped and the
+   connection keeps serving *)
+let test_service_line_cap () =
+  with_service (fun ~sock:_ c ->
+      let chunk = Bytes.make 65536 'x' in
+      for _ = 1 to 2 * Proto.max_line_bytes / Bytes.length chunk do
+        ignore (Unix.write c.Client.fd chunk 0 (Bytes.length chunk))
+      done;
+      ignore (Unix.write_substring c.Client.fd "\n" 0 1);
+      Client.send c (Json.Obj [ ("op", Json.Str "ping"); ("id", Json.Int 7) ]);
+      let j = recv_error c in
+      check_bool "id is null" true (Proto.field j "id" = Some Json.Null);
+      check_str "code" "user" (Option.get (Proto.str_field j "code"));
+      check_str "phase" "proto" (Option.get (Proto.str_field j "phase"));
+      check_bool "names the limit" true
+        (contains (Option.get (Proto.str_field j "error"))
+           (string_of_int Proto.max_line_bytes));
+      check_int "ping answered next" 7 (stat (recv_ok c) "id"))
 
 (* a hostile (budget-exceeding) request yields a structured cycle-budget
    error of the user class and does not poison the daemon *)
@@ -754,6 +774,7 @@ let () =
           Alcotest.test_case "matches one-shot" `Quick test_service_matches_oneshot;
           Alcotest.test_case "compile error reply" `Quick test_service_compile_error_reply;
           Alcotest.test_case "proto error reply" `Quick test_service_proto_error_reply;
+          Alcotest.test_case "line cap" `Quick test_service_line_cap;
           Alcotest.test_case "cycle budget" `Quick test_service_cycle_budget;
           Alcotest.test_case "concurrent identical batches" `Quick
             test_service_concurrent_identical_batches;

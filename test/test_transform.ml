@@ -349,6 +349,125 @@ c$distribute_reshape a(cyclic)
   let _, _, hw_without, _, _, _, _, _ = census without in
   check_bool "CSE reduced static div/mod count" true (hw_with < hw_without)
 
+(* --- §7.2 hoisting and CSE against their references ([Hoist_ref],
+   [Cse_ref]): the original implementations, which re-walk every subtree
+   (hoisting) or the whole block per candidate (CSE) --- *)
+
+(* The pass sequence of [Pipeline.run] with the hoisting and CSE passes
+   supplied, on a fresh [Tctx] (so fresh temporary names are numbered
+   identically). *)
+let pipeline ~hoist ~cse flags (env : Sema.env) =
+  let ctx = Tctx.create env in
+  let surface =
+    if flags.Flags.inspector then Inspector.routine ctx env.Sema.routine
+    else env.Sema.routine
+  in
+  let r = Lower.routine ctx flags surface in
+  let r = if flags.Flags.interchange then Interchange.routine r else r in
+  let r = if flags.Flags.hoist then hoist ctx r else r in
+  let r = if flags.Flags.cse then cse ctx r else r in
+  if flags.Flags.fp_divmod then Divmod.routine r else r
+
+(* structurally equal, and equal as marshalled bytes (sharing included:
+   linked images are marshalled) *)
+let same_routine what (a : Decl.routine) (b : Decl.routine) =
+  if compare a b <> 0 || Marshal.to_string a [] <> Marshal.to_string b [] then
+    Alcotest.failf "%s: the passes and their references disagree on routine %s" what
+      a.Decl.rname
+
+let check_passes_match_ref what (fname, src) =
+  match Parser.parse_file ~fname src with
+  | Error e -> Alcotest.failf "%s: parse: %s" what e
+  | Ok f -> (
+      match Sema.analyse_file f with
+      | Error es -> Alcotest.failf "%s: sema: %s" what (String.concat "; " es)
+      | Ok envs ->
+          List.iter
+            (fun env ->
+              let got = pipeline ~hoist:Hoist.routine ~cse:Cse.routine Flags.all_on env in
+              same_routine what got
+                (pipeline ~hoist:Hoist_ref.routine ~cse:Cse_ref.routine Flags.all_on env);
+              same_routine (what ^ " (Pipeline.run)") got (Pipeline.run Flags.all_on env))
+            envs)
+
+let read_file path = In_channel.with_open_bin path In_channel.input_all
+
+let test_cse_ref_examples () =
+  (* under dune the test runs in _build/default/test *)
+  let dir =
+    List.find Sys.file_exists [ "../examples/programs"; "examples/programs" ]
+  in
+  let pfs =
+    Sys.readdir dir |> Array.to_list
+    |> List.filter (fun f -> Filename.check_suffix f ".pf")
+    |> List.sort compare
+  in
+  check_bool "example programs found" true (List.length pfs >= 9);
+  List.iter
+    (fun f -> check_passes_match_ref f (f, read_file (Filename.concat dir f)))
+    pfs
+
+let test_cse_ref_generated () =
+  let size = Ddsm_fuzz.Gen.of_level 30 in
+  let subs = ref 0 in
+  for seed = 0 to 199 do
+    let files = Ddsm_fuzz.Spec.render (Ddsm_fuzz.Gen.generate ~size ~seed ()) in
+    if List.length files > 1 then incr subs;
+    List.iter (check_passes_match_ref (Printf.sprintf "seed %d" seed)) files
+  done;
+  check_bool "some seeds have subroutines" true (!subs > 0)
+
+(* Hand-written blocks run through the CSE pass alone. *)
+let cse_block_matches_ref body =
+  let env =
+    match Sema.analyse_file (Result.get_ok (Parser.parse_file ~fname:"t.pf" simple_src)) with
+    | Ok (env :: _) -> { env with Sema.routine = { env.Sema.routine with Decl.rbody = body } }
+    | _ -> Alcotest.fail "sema"
+  in
+  let got = Cse.routine (Tctx.create env) env.Sema.routine in
+  same_routine "hand-written block" got (Cse_ref.routine (Tctx.create env) env.Sema.routine);
+  got.Decl.rbody
+
+let assign x e = Stmt.mk (Stmt.Assign (Stmt.LVar x, e))
+let div v k = Expr.Idiv (Expr.Hw, Expr.Var v, Expr.Int k)
+
+let cse_temps body =
+  List.length
+    (List.filter
+       (fun t ->
+         match t.Stmt.s with
+         | Stmt.Assign (Stmt.LVar x, _) -> String.starts_with ~prefix:"cse" x
+         | _ -> false)
+       body)
+
+let test_cse_ref_round_cap () =
+  (* 60 profitable candidates, each occurring twice: only 51 rounds run *)
+  let body =
+    List.init 60 (fun k ->
+        assign (Printf.sprintf "x%d" k) (Expr.Bin (Expr.Add, div "n" (k + 2), div "n" (k + 2))))
+  in
+  check_int "stops at the round cap" 51 (cse_temps (cse_block_matches_ref body))
+
+let test_cse_ref_tie_break () =
+  (* n/3 and m/5 both occur twice in a kill-free segment, with equal size;
+     n/3 also has a second segment of count 2 after [n] is reassigned *)
+  let body =
+    [
+      assign "x1" (div "n" 3);
+      assign "y1" (div "m" 5);
+      assign "x2" (div "n" 3);
+      assign "y2" (div "m" 5);
+      assign "n" (Expr.Int 7);
+      assign "x3" (div "n" 3);
+      assign "x4" (div "n" 3);
+    ]
+  in
+  check_int "every tied segment gets its temp" 3 (cse_temps (cse_block_matches_ref body));
+  (* an expression with a nan literal is never equal to itself *)
+  let nan_div = Expr.Bin (Expr.Mul, Expr.Real Float.nan, div "n" 3) in
+  let body = [ assign "x1" nan_div; assign "x2" nan_div; assign "x3" nan_div ] in
+  check_int "only n/3 is shared" 1 (cse_temps (cse_block_matches_ref body))
+
 let test_cyclic_figure2 () =
   let src =
     {|
@@ -462,6 +581,11 @@ let () =
         [
           Alcotest.test_case "hoisting" `Quick test_hoist_moves_meta_out;
           Alcotest.test_case "CSE" `Quick test_cse_dedups;
+          Alcotest.test_case "hoist+CSE = reference on examples" `Quick test_cse_ref_examples;
+          Alcotest.test_case "hoist+CSE = reference on generated programs" `Quick
+            test_cse_ref_generated;
+          Alcotest.test_case "CSE = reference at the round cap" `Quick test_cse_ref_round_cap;
+          Alcotest.test_case "CSE = reference on a tie" `Quick test_cse_ref_tie_break;
           Alcotest.test_case "fp div/mod flag" `Quick test_fp_divmod_flag;
         ] );
     ]
