@@ -19,31 +19,15 @@ module Fault = Ddsm_core.Ddsm.Fault
 module Diag = Ddsm_core.Ddsm.Diag
 module Pagetable = Ddsm_machine.Pagetable
 
-let policy_conv =
-  let parse = function
-    | "first-touch" | "ft" -> Ok Pagetable.First_touch
-    | "round-robin" | "rr" -> Ok Pagetable.Round_robin
-    | s -> Error (`Msg (Printf.sprintf "unknown policy %S (first-touch|round-robin)" s))
-  in
-  let print ppf = function
-    | Pagetable.First_touch -> Format.pp_print_string ppf "first-touch"
-    | Pagetable.Round_robin -> Format.pp_print_string ppf "round-robin"
-  in
-  Arg.conv (parse, print)
+(* --policy and --machine accept exactly the spellings a pfld run request
+   does: both parse to the canonical wire string, which a local run maps
+   to typed values with the service's own converters *)
+let canon_conv canon =
+  let parse s = Result.map_error (fun m -> `Msg m) (canon s) in
+  Arg.conv (parse, Format.pp_print_string)
 
-let machine_conv =
-  let parse s =
-    if s = "origin" then Ok Ddsm.Origin2000
-    else
-      match Scanf.sscanf_opt s "scaled:%d" (fun f -> f) with
-      | Some f when f >= 1 -> Ok (Ddsm.Scaled f)
-      | _ -> Error (`Msg "machine is 'origin' or 'scaled:<factor>'")
-  in
-  let print ppf = function
-    | Ddsm.Origin2000 -> Format.pp_print_string ppf "origin"
-    | Ddsm.Scaled f -> Format.fprintf ppf "scaled:%d" f
-  in
-  Arg.conv (parse, print)
+let policy_conv = canon_conv Ddsm_service.Proto.canon_policy
+let machine_conv = canon_conv Ddsm_service.Proto.canon_machine
 
 let fault_conv =
   let parse s = Result.map_error (fun m -> `Msg m) (Fault.of_spec s) in
@@ -205,14 +189,8 @@ let connect_run ~sock ~src_path ~nprocs ~policy ~machine ~heap_words
       source;
       fname = src_path;
       nprocs;
-      policy =
-        (match policy with
-        | Pagetable.First_touch -> "first-touch"
-        | Pagetable.Round_robin -> "round-robin");
-      machine =
-        (match machine with
-        | Ddsm.Origin2000 -> "origin"
-        | Ddsm.Scaled f -> Printf.sprintf "scaled:%d" f);
+      policy;
+      machine;
       heap_words;
       max_cycles;
       flags_off = [];
@@ -278,6 +256,8 @@ let run image nprocs policy machine heap_words stats no_checks bounds
           connect_run ~sock ~src_path:image ~nprocs ~policy ~machine
             ~heap_words ~max_cycles
     | None -> (
+    let policy = Ddsm_service.Service.policy_of_string policy
+    and machine = Ddsm_service.Service.machine_of_string machine in
     match Ddsm.load_image ~path:image with
     (* corrupt/truncated/stale images are located user errors (exit 2),
        matching the documented Diag exit-code contract *)
@@ -397,13 +377,13 @@ let () =
   let policy =
     Arg.(
       value
-      & opt policy_conv Pagetable.First_touch
+      & opt policy_conv "first-touch"
       & info [ "policy" ] ~docv:"POLICY" ~doc:"Default page placement: first-touch or round-robin.")
   in
   let machine =
     Arg.(
       value
-      & opt machine_conv (Ddsm.Scaled 64)
+      & opt machine_conv "scaled:64"
       & info [ "machine" ] ~docv:"M" ~doc:"Machine preset: origin or scaled:<factor>.")
   in
   let heap =

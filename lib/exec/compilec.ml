@@ -26,11 +26,12 @@ type g = {
   bounds : bool;
   static_abind : routine:string -> array:string -> Frame.abind option;
   print : string -> unit;
+  observe : (Eff.note -> unit) option;
   entries : (string, entry) Hashtbl.t;
   mutable cycle_limit : int;
 }
 
-let create prog ~rt ~checks ~bounds ~static_abind ~print =
+let create prog ~rt ~checks ~bounds ~static_abind ~print ?observe () =
   {
     prog;
     rt;
@@ -38,11 +39,20 @@ let create prog ~rt ~checks ~bounds ~static_abind ~print =
     bounds;
     static_abind;
     print;
+    observe;
     entries = Hashtbl.create 16;
     cycle_limit = max_int;
   }
 
 let set_cycle_limit g n = g.cycle_limit <- n
+
+(* Announcements to the attached observer. The note is built only when
+   one is attached, so a bare run never formats an event's detail. *)
+let announce g note = match g.observe with None -> () | Some f -> f (note ())
+
+let event g ctx ~name detail =
+  let { Eff.proc; clock = now; _ } = ctx.ws in
+  announce g (fun () -> Eff.Event { name; detail = detail (); proc; now })
 
 (* ------------------------------------------------------------------ *)
 (* Per-routine compile environment *)
@@ -684,6 +694,14 @@ and compile_stmt renv (t : Stmt.t) : ctx -> unit =
         match Rt.redistribute renv.g.rt ~name:qname ~kinds ?onto ?procs () with
         | Ok { Rt.moved; words = _; rounds; round_words; retries; fell_back }
           ->
+            (* a reshaped array that moved now lives in freshly allocated
+               portions; a regular one keeps its addresses *)
+            (match Rt.find_array renv.g.rt qname with
+            | Some d when d.Darray.reshaped && not fell_back ->
+                announce renv.g (fun () ->
+                    Eff.Ranges
+                      { array = qname; word_ranges = Darray.word_ranges d })
+            | _ -> ());
             (* failed attempts cost backoff time; the data movement itself
                is charged by the round schedule — rounds run back to back,
                transfers within a round in parallel. A fallback costs only
@@ -692,19 +710,19 @@ and compile_stmt renv (t : Stmt.t) : ctx -> unit =
               ((retries * Costs.redistribute_retry)
               + Costs.redistribute_scheduled ~rounds ~round_words)
               ctx.ws;
-            Rt.note_event renv.g.rt
+            event renv.g ctx
               ~name:(if fell_back then "redistribute-fallback"
                      else "redistribute")
-              ~detail:
-                (Printf.sprintf "%s moved=%d rounds=%d retries=%d" qname moved
-                   rounds retries)
-              ~proc:ctx.ws.Eff.proc ~now:ctx.ws.Eff.clock
+              (fun () ->
+                Printf.sprintf "%s moved=%d rounds=%d retries=%d" qname moved
+                  rounds retries)
         | Error m -> Eff.error "%s" m)
   | Stmt.Gather gth -> compile_gather renv gth
   | Stmt.Continue -> fun _ -> ()
   | Stmt.Barrier ->
       fun ctx ->
-        Rt.note_barrier renv.g.rt ~proc:ctx.ws.Eff.proc ~now:ctx.ws.Eff.clock
+        if Rt.note_barrier renv.g.rt then
+          event renv.g ctx ~name:"barrier" (fun () -> "")
   | Stmt.Return -> fun _ -> raise Return_local
   | Stmt.Print items ->
       let fs =
@@ -851,9 +869,13 @@ and compile_gather renv (gth : Stmt.gather) : ctx -> unit =
              benchmark must see; repeated sweeps then hit the cache. *)
           rt.Rt.gather_inspections <- rt.Rt.gather_inspections + 1;
           if site.Rt.gs_cap < nslots then begin
-            site.Rt.gs_scratch <-
-              Rt.alloc_gather_scratch rt ~src_array:tq ~words:nslots;
-            site.Rt.gs_cap <- nslots
+            let lo, hi = Rt.alloc_gather_scratch rt ~words:nslots in
+            site.Rt.gs_scratch <- lo;
+            site.Rt.gs_cap <- nslots;
+            (* scratch holds copies of the source array's elements: its
+               accesses are attributed to that array *)
+            announce g (fun () ->
+                Eff.Ranges { array = tq; word_ranges = [ (lo, hi) ] })
           end;
           if Array.length site.Rt.gs_addrs < nslots then
             site.Rt.gs_addrs <- Array.make nslots 0;
@@ -926,11 +948,9 @@ and compile_gather renv (gth : Stmt.gather) : ctx -> unit =
           site.Rt.gs_round_words <-
             Hashtbl.fold (fun _ m acc -> acc + !m) per_class 0;
           site.Rt.gs_key <- Some keynow;
-          Rt.note_event rt ~name:"gather-inspect"
-            ~detail:
-              (Printf.sprintf "%s slots=%d rounds=%d" key nslots
-                 site.Rt.gs_rounds)
-            ~proc:ctx.ws.Eff.proc ~now:ctx.ws.Eff.clock);
+          event g ctx ~name:"gather-inspect" (fun () ->
+              Printf.sprintf "%s slots=%d rounds=%d" key nslots
+                site.Rt.gs_rounds));
       (* every execution: move the CURRENT target values into scratch *)
       let addrs = site.Rt.gs_addrs in
       let scratch = site.Rt.gs_scratch in
@@ -952,11 +972,9 @@ and compile_gather renv (gth : Stmt.gather) : ctx -> unit =
             (Costs.gather_scheduled ~rounds:site.Rt.gs_rounds
                ~round_words:site.Rt.gs_round_words)
             ctx.ws;
-          Rt.note_event rt ~name:"gather"
-            ~detail:
-              (Printf.sprintf "%s slots=%d rounds=%d retries=%d" key nslots
-                 site.Rt.gs_rounds tries)
-            ~proc:ctx.ws.Eff.proc ~now:ctx.ws.Eff.clock
+          event g ctx ~name:"gather" (fun () ->
+              Printf.sprintf "%s slots=%d rounds=%d retries=%d" key nslots
+                site.Rt.gs_rounds tries)
         end
         else begin
           rt.Rt.gather_retries <- rt.Rt.gather_retries + 1;
@@ -970,9 +988,8 @@ and compile_gather renv (gth : Stmt.gather) : ctx -> unit =
               Effect.perform (Eff.Mem (ctx.ws, addrs.(i), false));
               copy_one i
             done;
-            Rt.note_event rt ~name:"gather-fallback"
-              ~detail:(Printf.sprintf "%s slots=%d" key nslots)
-              ~proc:ctx.ws.Eff.proc ~now:ctx.ws.Eff.clock
+            event g ctx ~name:"gather-fallback" (fun () ->
+                Printf.sprintf "%s slots=%d" key nslots)
           end
         end
       in

@@ -26,7 +26,14 @@ val create :
   bounds:bool ->
   static_abind:(routine:string -> array:string -> Frame.abind option) ->
   print:(string -> unit) ->
+  ?observe:(Eff.note -> unit) ->
+  unit ->
   g
+(** [print] receives each [PRINT] line. [observe], when given, receives
+    every {!Eff.note} the compiled code announces: barrier arrivals the
+    fault plan does not drop, redistributions and gathers as events, and
+    the word ranges of reshaped storage a redistribute installs and of
+    gather scratch. Without it nothing is announced or formatted. *)
 
 val set_cycle_limit : g -> int -> unit
 (** Compiled loops abort with a runtime error once the worker clock passes

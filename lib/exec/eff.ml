@@ -4,6 +4,10 @@ type _ Effect.t +=
   | Mem : ws * int * bool -> unit Effect.t
   | Fork : ws * (ws -> int -> unit) * int * string -> unit Effect.t
 
+type note =
+  | Event of { name : string; detail : string; proc : int; now : int }
+  | Ranges of { array : string; word_ranges : (int * int) list }
+
 exception Runtime_error of string
 exception Cycle_limit of int
 

@@ -20,6 +20,20 @@ type _ Effect.t +=
           clock.  [region] is a human-readable parallel-region label
           (["routine:line"]) used by the cycle-attribution profiler. *)
 
+(** What compiled code announces to an attached observer (see
+    {!Compilec.create}'s [observe]). *)
+type note =
+  | Event of { name : string; detail : string; proc : int; now : int }
+      (** a runtime event on processor [proc] at cycle [now]: ["barrier"],
+          ["redistribute"], ["redistribute-fallback"], ["gather-inspect"],
+          ["gather"], ["gather-fallback"]; [detail] is free text, [""] for
+          barriers *)
+  | Ranges of { array : string; word_ranges : (int * int) list }
+      (** heap words that now belong to [array] (qualified name), in
+          addition to any announced before: the storage a reshaped
+          redistribute installed, or gather scratch holding copies of the
+          gathered source array's elements *)
+
 exception Runtime_error of string
 (** A user-program error (bad arguments, bounds, inconsistent commons…). *)
 

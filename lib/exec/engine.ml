@@ -198,18 +198,49 @@ let run prog ~rt ?(checks = true) ?(bounds = false)
     mk_task ~tws:master_ws ~region:serial_region ~state:Done ~parent:None
   in
   (* ---- observability -------------------------------------------------
-     When a profiler is attached: every Memsys access is classified by the
-     probe and attributed to (current region, owning array); runtime and
-     scheduler events land in the bounded trace ring. The probe reads
-     [cur_region] which the Mem handler sets before each access. *)
+     Two inputs feed the attached profiler and sanitizer: the Memsys probe
+     sees every access, which is attributed to (current region, owning
+     array) — the probe reads [cur_region], set by the Mem handler before
+     each access — and [announce] takes the notes compiled code makes
+     (runtime events and array word ranges). Scheduler events land in the
+     profiler's bounded trace ring directly through [trace]. *)
   let cur_region = ref serial_region in
   let trace name ?args ph ~tid ~ts =
     match profile with
     | None -> ()
     | Some p -> Profile.event p ~name ?args ~ph ~tid ~ts ()
   in
+  let announce = function
+    | Eff.Event { name; detail; proc; now } -> (
+        (match profile with
+        | None -> ()
+        | Some p ->
+            let args =
+              if detail = "" then []
+              else [ ("detail", Ddsm_report.Json.Str detail) ]
+            in
+            Profile.event p ~name ~cat:"runtime" ~args ~ph:Profile.Instant
+              ~tid:proc ~ts:now ());
+        match sanitize with
+        | Some s
+          when name = "barrier" || name = "redistribute"
+               || name = "redistribute-fallback" ->
+            (* an in-region redistribution synchronizes like a barrier:
+               every processor's preceding accesses are ordered before
+               every processor's subsequent ones *)
+            Sanitize.on_barrier s ~proc
+        | _ -> ())
+    | Eff.Ranges { array = name; word_ranges } ->
+        (* registration appends: an array keeps its earlier ranges *)
+        Option.iter
+          (fun p -> Profile.register_array p ~name ~word_ranges)
+          profile;
+        Option.iter
+          (fun s -> Sanitize.register_array s ~name ~word_ranges)
+          sanitize
+  in
   let observing = profile <> None || sanitize <> None in
-  if observing then begin
+  if observing then
     Memsys.set_probe mem
       (Some
          (fun ev ->
@@ -224,36 +255,7 @@ let run prog ~rt ?(checks = true) ?(bounds = false)
            match sanitize with
            | None -> ()
            | Some s -> Sanitize.on_access s ~region:!cur_region ev));
-    rt.Rt.on_event <-
-      Some
-        (fun ~name ~detail ~proc ~now ->
-          (match profile with
-          | None -> ()
-          | Some p ->
-              let args =
-                if detail = "" then []
-                else [ ("detail", Ddsm_report.Json.Str detail) ]
-              in
-              Profile.event p ~name ~cat:"runtime" ~args ~ph:Profile.Instant
-                ~tid:proc ~ts:now ());
-          match sanitize with
-          | Some s
-            when name = "barrier" || name = "redistribute"
-                 || name = "redistribute-fallback" ->
-              (* an in-region redistribution synchronizes like a barrier:
-                 every processor's preceding accesses are ordered before
-                 every processor's subsequent ones *)
-              Sanitize.on_barrier s ~proc
-          | _ -> ())
-  end;
-  let detach_observers () =
-    if observing then begin
-      Memsys.set_probe mem None;
-      rt.Rt.on_event <- None;
-      rt.Rt.on_relayout <- None;
-      rt.Rt.on_scratch <- None
-    end
-  in
+  let detach_observers () = if observing then Memsys.set_probe mem None in
   (* Full-context diagnosis: reason + where every simulated task stands.
      Built from whatever state exists when the failure is observed. *)
   let diagnose reason =
@@ -299,54 +301,20 @@ let run prog ~rt ?(checks = true) ?(bounds = false)
   try
     elaborate prog ~rt;
     (* the allocation map is complete once elaboration has declared every
-       static array.  Redistributing a regular array moves pages, not
-       addresses, so those ranges stay valid for the whole run; a reshaped
-       redistribute installs freshly allocated portions, so the runtime's
-       relayout hook re-registers the array's new ranges as they appear *)
-    (match profile with
-    | None -> ()
-    | Some p ->
-        Hashtbl.iter
-          (fun name d ->
-            Profile.register_array p ~name ~word_ranges:(Darray.word_ranges d))
-          rt.Rt.arrays);
-    (match sanitize with
-    | None -> ()
-    | Some s ->
-        Hashtbl.iter
-          (fun name d ->
-            Sanitize.register_array s ~name ~word_ranges:(Darray.word_ranges d))
-          rt.Rt.arrays);
-    (match (profile, sanitize) with
-    | None, None -> ()
-    | _ ->
-        rt.Rt.on_relayout <-
-          Some
-            (fun d ->
-              let name = d.Darray.name and ranges = Darray.word_ranges d in
-              Option.iter
-                (fun p -> Profile.register_array p ~name ~word_ranges:ranges)
-                profile;
-              Option.iter
-                (fun s -> Sanitize.register_array s ~name ~word_ranges:ranges)
-                sanitize);
-        (* gather scratch carries copies of its source array's elements:
-           attribute accesses to that array (registration appends, so the
-           array keeps its own ranges too) *)
-        rt.Rt.on_scratch <-
-          Some
-            (fun ~name ~word_ranges ->
-              Option.iter
-                (fun p -> Profile.register_array p ~name ~word_ranges)
-                profile;
-              Option.iter
-                (fun s -> Sanitize.register_array s ~name ~word_ranges)
-                sanitize));
+       static array; storage installed later (reshaped redistributions,
+       gather scratch) is announced by the compiled code *)
+    if observing then
+      Hashtbl.iter
+        (fun array d ->
+          announce (Eff.Ranges { array; word_ranges = Darray.word_ranges d }))
+        rt.Rt.arrays;
     phase := "compile";
     let g =
       Compilec.create prog ~rt ~checks ~bounds
         ~static_abind:(fun ~routine ~array -> static_abind prog rt ~routine ~array)
         ~print:(fun s -> prints := s :: !prints)
+        ?observe:(if observing then Some announce else None)
+        ()
     in
     Compilec.set_cycle_limit g max_cycles;
     Compilec.compile_all g;

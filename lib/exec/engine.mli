@@ -48,16 +48,18 @@ val run :
     [profile] attaches a cycle-attribution profiler
     ({!Ddsm_report.Profile}): every memory access is attributed to the
     executing parallel region and the owning array, and scheduler/runtime
-    events (region enter/exit, barriers, redistributions, fault injections,
-    watchdog trips) are appended to its bounded event trace. The machine
-    probe and runtime hook are detached again before [run] returns.
+    events (region enter/exit, barriers, redistributions, gathers, fault
+    injections, watchdog trips) are appended to its bounded event trace.
+    Accesses arrive through the machine probe, which is detached again
+    before [run] returns; runtime events and the word ranges of storage
+    allocated mid-run arrive as the compiled code's {!Eff.note}s.
 
     [sanitize] attaches a happens-before sanitizer
     ({!Ddsm_sanitize.Sanitize}): the same access probe feeds its race
     detector, and fork/join/barrier/redistribution events provide its
     happens-before edges. Composes with [profile] (both observe every
-    access). With neither attached no probe is installed — the fast path
-    is untouched. *)
+    access). With neither attached no probe is installed and compiled
+    code announces nothing — the fast path is untouched. *)
 
 val elaborate : Prog.t -> rt:Ddsm_runtime.Rt.t -> unit
 (** Allocate static storage only (exposed for tests). Raises

@@ -40,11 +40,6 @@ type t = {
   mutable gather_fallbacks : int;
   job_procs : int;
   mutable barriers : int;
-  mutable on_event :
-    (name:string -> detail:string -> proc:int -> now:int -> unit) option;
-  mutable on_relayout : (Darray.t -> unit) option;
-  mutable on_scratch :
-    (name:string -> word_ranges:(int * int) list -> unit) option;
 }
 
 let create cfg ~policy ~heap_words ?(pool_slab_pages = 4) ?job_procs
@@ -76,26 +71,15 @@ let create cfg ~policy ~heap_words ?(pool_slab_pages = 4) ?job_procs
     gather_fallbacks = 0;
     job_procs;
     barriers = 0;
-    on_event = None;
-    on_relayout = None;
-    on_scratch = None;
   }
 
-let note_event t ~name ~detail ~proc ~now =
-  match t.on_event with
-  | None -> ()
-  | Some f -> f ~name ~detail ~proc ~now
-
-let note_barrier t ~proc ~now =
+let note_barrier t =
   t.barriers <- t.barriers + 1;
   (* a dropped note models the missing-synchronization bug: the arrival is
      never published, so observers (the sanitizer) see the processors on
      either side of the barrier as unordered *)
-  if
-    not
-      (Ddsm_check.Fault.barrier_dropped (Memsys.fault t.mem)
-         ~barrier:t.barriers)
-  then note_event t ~name:"barrier" ~detail:"" ~proc ~now
+  not
+    (Ddsm_check.Fault.barrier_dropped (Memsys.fault t.mem) ~barrier:t.barriers)
 
 let nprocs t = t.job_procs
 let page_words t = (Memsys.config t.mem).Config.page_bytes / Heap.word_bytes
@@ -178,8 +162,6 @@ let redistribute t ~name ~kinds ?onto ?procs () =
                  changed: cached gather schedules over this array are
                  stale *)
               Darray.bump_version a;
-              if a.Darray.reshaped then
-                Option.iter (fun f -> f a) t.on_relayout;
               Ok
                 {
                   moved = o.Darray.pages_moved;
@@ -217,11 +199,8 @@ let gather_site t ~key =
 
 (* Scratch storage for a gather site: page-aligned and padded to whole
    pages, pages block-placed over the job's processors so executor reads
-   spread across the machine instead of hammering one home node. The
-   scratch words are announced to the [on_scratch] observer under the
-   SOURCE array's name — profiler and sanitizer attribute the gathered
-   words to the array they came from. *)
-let alloc_gather_scratch t ~src_array ~words =
+   spread across the machine instead of hammering one home node. *)
+let alloc_gather_scratch t ~words =
   let pw = page_words t in
   let padded = max pw ((words + pw - 1) / pw * pw) in
   let base = Heap.alloc t.heap ~words:padded ~align_words:pw in
@@ -233,10 +212,7 @@ let alloc_gather_scratch t ~src_array ~words =
     Memsys.place_page t.mem ~page:(base_pg + i)
       ~node:(Config.node_of_proc cfg p)
   done;
-  (match t.on_scratch with
-  | None -> ()
-  | Some f -> f ~name:src_array ~word_ranges:[ (base, base + padded - 1) ]);
-  base
+  (base, base + padded - 1)
 
 (* machine-wide bulk-fetch counter feeding the fault plan: returns the
    0-based ordinal of this fetch, like [Memsys]'s migration counter, so

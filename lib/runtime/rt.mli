@@ -65,23 +65,6 @@ type t = {
   mutable barriers : int;
       (** barrier notes made so far (feeds the fault plan's drop-barrier
           schedule) *)
-  mutable on_event :
-    (name:string -> detail:string -> proc:int -> now:int -> unit) option;
-      (** observability hook: runtime-level events (barriers,
-          redistributions, injected redistribution failures) are announced
-          here when installed — the engine points this at the profiler's
-          event trace. [None] (the default) makes {!note_event} free. *)
-  mutable on_relayout : (Darray.t -> unit) option;
-      (** called after a reshaped array installs a new storage layout
-          (portions and descriptor replaced by {!redistribute}): observers
-          that hold the array's word ranges — profiler, sanitizer — must
-          learn the new ones. [None] by default. *)
-  mutable on_scratch :
-    (name:string -> word_ranges:(int * int) list -> unit) option;
-      (** called when a gather site allocates scratch storage, with the
-          SOURCE array's qualified name and the new scratch word ranges:
-          observers attribute the gathered words to the array they came
-          from. [None] by default. *)
 }
 
 val create :
@@ -95,17 +78,12 @@ val create :
 val nprocs : t -> int
 (** Job processor count (defaults to the machine size). *)
 
-val note_event :
-  t -> name:string -> detail:string -> proc:int -> now:int -> unit
-(** Announce a runtime event to the installed [on_event] hook (no-op when
-    none is installed). *)
-
-val note_barrier : t -> proc:int -> now:int -> unit
-(** Announce processor [proc]'s arrival at a barrier as a ["barrier"] event.
-    If the fault plan drops this note ({!Ddsm_check.Fault.barrier_dropped},
-    counted machine-wide, 1-based) the arrival is never published — the
-    seeded missing-synchronization bug the sanitizer must catch. Timing is
-    unaffected either way. *)
+val note_barrier : t -> bool
+(** Count one processor's arrival at a barrier and say whether it is
+    published. [false] when the fault plan drops this note
+    ({!Ddsm_check.Fault.barrier_dropped}, counted machine-wide, 1-based):
+    the seeded missing-synchronization bug the sanitizer must catch.
+    Timing is unaffected either way. *)
 
 val page_words : t -> int
 
@@ -151,10 +129,10 @@ val find_array : t -> string -> Darray.t option
 val gather_site : t -> key:string -> gather_site
 (** Find or create the gather site state for ["routine#id"]. *)
 
-val alloc_gather_scratch : t -> src_array:string -> words:int -> int
+val alloc_gather_scratch : t -> words:int -> int * int
 (** Allocate (page-aligned, whole pages) scratch storage for a gather
-    site, block-place its pages over the job's processors, announce the
-    range to [on_scratch] under [src_array], and return the base word. *)
+    site, block-place its pages over the job's processors, and return the
+    first and last word of the padded range. *)
 
 val next_gather_fetch : t -> int
 (** Bump the machine-wide bulk-fetch counter and return this fetch's

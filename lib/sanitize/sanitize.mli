@@ -1,7 +1,8 @@
 (** Dynamic happens-before sanitizer: a deterministic FastTrack-style
     vector-clock race detector plus a cache-line/page false-sharing
     classifier, driven by the machine's access probe
-    ({!Ddsm_machine.Memsys.set_probe}) and the runtime's event hook.
+    ({!Ddsm_machine.Memsys.set_probe}) and the runtime events compiled
+    code announces to the engine.
 
     Happens-before edges come from the engine's structural events:
     - fork of a parallel region orders the master's preceding accesses

@@ -394,6 +394,55 @@ let test_json_nonfinite_roundtrip () =
       | _ -> Alcotest.fail "nested non-finite float not nulled")
   | _ -> Alcotest.fail "top level not an object"
 
+(* Storage installed mid-run reaches the observers only through what the
+   compiled code announces: a reshaped redistribute's fresh portions
+   (redistribute.pf) and inspector-executor gather scratch, attributed to
+   the gathered source array (spmv.pf, graph.pf). Every memory stall
+   cycle must land on an array, and the sanitizer, fed the same ranges,
+   must find no race. *)
+let test_midrun_storage_attribution () =
+  (* under dune the test runs in _build/default/test *)
+  let dir =
+    List.find Sys.file_exists [ "../examples/programs"; "examples/programs" ]
+  in
+  List.iter
+    (fun f ->
+      let src =
+        In_channel.with_open_bin (Filename.concat dir f) In_channel.input_all
+      in
+      let linked =
+        match Ddsm.compile_source ~fname:f src with
+        | Error es -> Alcotest.failf "%s: %s" f (String.concat "; " es)
+        | Ok obj -> (
+            match Ddsm.link [ obj ] with
+            | Ok (_, linked) -> linked
+            | Error es -> Alcotest.failf "%s: %s" f (String.concat "; " es))
+      in
+      let run ?profile ?sanitize rt =
+        match
+          Ddsm.run (Ddsm.prog_of_linked linked) ~rt ?profile ?sanitize ()
+        with
+        | Ok _ -> ()
+        | Error d -> Alcotest.failf "%s: %s" f (Ddsm.Diag.to_string d)
+      in
+      let profile = Profile.create () in
+      run ~profile (Ddsm.make_rt ~nprocs:8 ());
+      let total = Profile.total_stall profile in
+      check_bool (f ^ ": memory stall cycles") true (total > 0);
+      check_int (f ^ ": every stall cycle attributed") total
+        (Profile.attributed_stall profile);
+      let rt = Ddsm.make_rt ~nprocs:8 () in
+      let cfg = Ddsm_machine.Memsys.config rt.Ddsm_runtime.Rt.mem in
+      let sanitize =
+        Ddsm.Sanitize.create ~nprocs:8
+          ~line_bytes:cfg.Ddsm_machine.Config.l2.Ddsm_machine.Config.line_bytes
+          ~page_bytes:cfg.Ddsm_machine.Config.page_bytes ()
+      in
+      run ~sanitize rt;
+      check_int (f ^ ": no data race") 0
+        (List.length (Ddsm.Sanitize.races sanitize)))
+    [ "redistribute.pf"; "spmv.pf"; "graph.pf" ]
+
 let test_trace_roundtrip () =
   let profile = Ddsm.Profile.create () in
   (match Ddsm.run_source ~nprocs:4 ~profile twoarr with
@@ -553,6 +602,8 @@ let () =
             test_profile_ring_bounded;
           Alcotest.test_case "two-array end-to-end attribution" `Quick
             test_profile_end_to_end;
+          Alcotest.test_case "relayout and gather scratch attributed" `Quick
+            test_midrun_storage_attribution;
           Alcotest.test_case "chrome trace roundtrip" `Quick
             test_trace_roundtrip;
           Alcotest.test_case "json non-finite floats" `Quick
