@@ -1,5 +1,6 @@
 (* Service throughput benchmark: the pfld daemon against a 50-request
-   batch (10 distinct programs x 5 processor counts) at 1/2/4 workers.
+   batch (10 distinct programs x 5 processor counts) at 1/2/4 workers
+   (the worker count sets only the round width: up to 4N requests).
 
    Each worker count gets a fresh in-process daemon (Domain.spawn of
    Service.serve, signals left to the harness). The batch is replayed

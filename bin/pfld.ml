@@ -2,9 +2,9 @@
 
    Accepts line-framed JSON batches of {program source, machine config,
    placement policy, flags} requests on a Unix-domain socket, memoizes
-   compilation and simulation behind content-addressed caches, and
-   schedules non-cached work over the Jobs domain pool with fair
-   round-robin queueing and per-request cycle budgets. See DESIGN.md §13.
+   compilation and simulation behind content-addressed caches, and runs
+   non-cached work one simulation at a time with fair round-robin
+   queueing and per-request cycle budgets. See DESIGN.md §13.
 
    Exit codes match the other CLIs: 0 clean shutdown (SIGTERM/SIGINT or a
    shutdown request), 1 usage/IO (socket path unusable), 2 user error
@@ -57,8 +57,9 @@ let () =
       value & opt int default_workers
       & info [ "w"; "workers" ] ~docv:"N"
           ~doc:
-            "Simulate up to N non-cached requests in parallel on the Jobs \
-             domain pool (default from $(b,DDSM_JOBS), else 1).")
+            "Take up to 4N queued requests per scheduling round (default \
+             from $(b,DDSM_JOBS), else 1). Simulations run one after \
+             another on the daemon's thread.")
   in
   let cache_dir =
     Arg.(

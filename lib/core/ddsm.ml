@@ -77,10 +77,19 @@ let run_source ?flags ?machine ?policy ?heap_words ?machine_procs ?fault
 
 (* Images ride the hardened Binfile container (magic/kind/version header,
    payload digest, atomic install): a truncated, stale or foreign .pfi is
-   a located [Error], never a Marshal crash. *)
+   a located [Error], never a Marshal crash. An encoded image is the same
+   bytes in memory as on disk; pfld's compile cache keeps images that way
+   because a string, unlike a decoded image, is never marked by the GC. *)
+
+let encode_image (l : Prelink.linked) = Ddsm_linker.Binfile.encode ~kind:"image" l
+
+let decode_image s : (Prelink.linked, string) result =
+  Ddsm_linker.Binfile.decode ~kind:"image" s
 
 let save_image (l : Prelink.linked) ~path =
   Ddsm_linker.Binfile.save ~kind:"image" ~path l
 
 let load_image ~path : (Prelink.linked, string) result =
   Ddsm_linker.Binfile.load ~kind:"image" ~path
+
+let read_image ~path = Ddsm_linker.Binfile.read ~kind:"image" ~path

@@ -94,4 +94,14 @@ val save_image : Ddsm_linker.Prelink.linked -> path:string -> unit
 val load_image : path:string -> (Ddsm_linker.Prelink.linked, string) result
 (** Linked-program images (the [pflc]/[pflrun] interchange format). *)
 
+val encode_image : Ddsm_linker.Prelink.linked -> string
+val decode_image : string -> (Ddsm_linker.Prelink.linked, string) result
+(** The same images as bytes: [encode_image l] is exactly what
+    [save_image l] writes, and [decode_image] makes every check
+    [load_image] makes. *)
+
+val read_image : path:string -> (string, string) result
+(** The bytes of the image file at [path], verified as [load_image]
+    verifies them but not decoded. *)
+
 val prog_of_linked : Ddsm_linker.Prelink.linked -> Ddsm_exec.Prog.t

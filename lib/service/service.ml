@@ -1,9 +1,8 @@
 (* pfld — the persistent compile-and-simulate daemon.
 
    One control thread owns the Unix-domain listen socket, every client
-   connection, and both caches; worker domains (the Jobs pool) only run
-   self-contained simulations, the same fan-out contract every sweep in
-   this repo relies on. Scheduling is round-based:
+   connection, and both caches, and runs every compile and simulation
+   itself, one after another. Scheduling is round-based:
 
      - the control thread drains readable sockets into per-client FIFO
        queues of parsed requests;
@@ -11,13 +10,22 @@
        no client's batch can starve another's (a client that arrives
        while a round computes joins the very next round);
      - within a round, requests are deduplicated by simulate key: each
-       distinct piece of work runs once on the Jobs pool, and every
-       requester gets a byte-identical copy of the one reply;
+       distinct piece of work runs once, and every requester gets a
+       byte-identical copy of the one reply;
+     - replies go out in round order, each as soon as it is known;
      - every simulation runs under a cycle budget (the server cap,
        further lowered by the request's own max_cycles) enforced by the
        engine's watchdog/Diag machinery, so a hostile request ends in a
-       structured "cycle-budget" error reply — the worker is not
-       poisoned, because each job builds a fresh runtime.
+       structured "cycle-budget" error reply — nothing is poisoned,
+       because each simulation builds a fresh runtime.
+
+   Simulations do not fan out over domains. Every simulation's runtime
+   heap forces major GC cycles, and with a second domain running each
+   cycle synchronises both: on a 2-core host, a round of two
+   simulations of a few milliseconds each cost about 60% more CPU on two
+   domains than the same two run in turn, and finished no sooner. How
+   requests group into rounds depends on client timing, so parallel
+   rounds also made throughput swing from one run to the next.
 
    Failure replies carry the same Diag codes as the CLIs: [internal]
    false is the exit-2 class (user program errors, budget exhaustion),
@@ -27,13 +35,12 @@ module U = Unix
 module Ddsm = Ddsm_core.Ddsm
 module Diag = Ddsm_core.Ddsm.Diag
 module Json = Ddsm_report.Json
-module Jobs = Ddsm_util.Jobs
 module Config = Ddsm_machine.Config
 module Pagetable = Ddsm_machine.Pagetable
 
 type config = {
   sock_path : string;
-  workers : int;  (** Jobs-pool width for non-cached simulations *)
+  workers : int;  (** a round takes up to [4 * workers] requests *)
   cache_dir : string option;  (** persisted compile cache; None = memory *)
   budget : int;  (** per-request simulated-cycle cap; 0 = uncapped *)
   verbose : bool;
@@ -59,6 +66,10 @@ type t = {
   cache : Cache.t;
   lfd : U.file_descr;
   mutable clients : client list;  (** accept order — the round-robin order *)
+  mutable accepting : bool;
+      (** false after [accept] ran out of descriptors: the listen socket
+          stays out of [select] until a client closes (or, with no client
+          left, for one idle wait) *)
   mutable stop : bool;
   mutable shutdown_ack : (client * int) option;
       (** acked only after the drain, so "ok" means "everything queued
@@ -84,7 +95,7 @@ let write_all c s =
 let send c j = write_all c (Json.to_string j ^ "\n")
 
 (* ------------------------------------------------------------------ *)
-(* One simulation, self-contained (runs on a worker domain) *)
+(* One simulation, self-contained *)
 
 let config_of_machine ~machine ~nprocs =
   if machine = "origin" then Config.origin2000 ~nprocs
@@ -106,20 +117,26 @@ let effective_budget cfg (r : Proto.run_req) =
   | b, None -> Some b
   | b, Some c -> Some (min b c)
 
-let simulate cfg linked (r : Proto.run_req) =
+(* [image] is the encoded image from the compile cache; each simulation
+   decodes its own copy, which is garbage once the simulation ends *)
+let simulate cfg image (r : Proto.run_req) =
   match Config.validate (config_of_machine ~machine:r.machine ~nprocs:r.nprocs) with
   | Error e -> Error (Diag.user ~phase:"config" e)
-  | Ok () ->
-      let prog = Ddsm.prog_of_linked linked in
-      match
-        Ddsm.make_rt
-          ~machine:(machine_of_string r.machine)
-          ~policy:(policy_of_string r.policy)
-          ~heap_words:r.heap_words ~nprocs:r.nprocs ()
-      with
-      | exception Ddsm_runtime.Heap.Out_of_memory m ->
-          Error (Diag.user ~phase:"config" m)
-      | rt -> Ddsm.run prog ~rt ?max_cycles:(effective_budget cfg r) ()
+  | Ok () -> (
+      match Ddsm.decode_image image with
+      | Error e -> Error (Diag.internal ~phase:"cache" e)
+      | Ok linked -> (
+          match
+            Ddsm.make_rt
+              ~machine:(machine_of_string r.machine)
+              ~policy:(policy_of_string r.policy)
+              ~heap_words:r.heap_words ~nprocs:r.nprocs ()
+          with
+          | exception Ddsm_runtime.Heap.Out_of_memory m ->
+              Error (Diag.user ~phase:"config" m)
+          | rt ->
+              Ddsm.run (Ddsm.prog_of_linked linked) ~rt
+                ?max_cycles:(effective_budget cfg r) ()))
 
 let body_of_diag (d : Diag.t) =
   Proto.error_body ~code:(Diag.code d) ~phase:d.Diag.phase
@@ -146,43 +163,26 @@ let build_round t max_n =
   done;
   List.rev !round
 
+(* Requests are answered in round order (per client, request order),
+   each as soon as its reply is known. A client whose reply is out sends
+   its next request while the rest of the round runs. Were every reply
+   held to the end of the round, two requests sharing a round would
+   leave the daemon idle until both clients answered, and throughput
+   would depend on how requests happen to group into rounds. *)
 let process_round t round =
   t.rounds <- t.rounds + 1;
   let cache = t.cache in
-  (* resolve the sim cache; collect distinct uncached work in round order *)
-  let work = ref [] (* (sim key, representative request), reversed *) in
-  let entries =
-    List.map
-      (fun (c, (r : Proto.run_req)) ->
-        let key = Proto.sim_key r in
-        match Cache.find_sim cache ~key with
-        | Some body ->
-            cache.Cache.sim_hits <- cache.Cache.sim_hits + 1;
-            (c, r, `Ready body)
-        | None ->
-            if List.mem_assoc key !work then
-              (* a sibling in this round computes it: a hit, not a miss *)
-              cache.Cache.sim_hits <- cache.Cache.sim_hits + 1
-            else begin
-              cache.Cache.sim_misses <- cache.Cache.sim_misses + 1;
-              work := (key, r) :: !work
-            end;
-            (c, r, `Pending key))
-      round
-  in
-  let work = List.rev !work in
-  (* ensure every distinct compile key is compiled (control thread: the
-     compiler pipeline is cheap next to simulation and not audited for
-     domain-parallel use; simulations are where the Jobs pool pays off) *)
+  (* compile key -> (encoded image, diag-body) result, looked up once per
+     round *)
   let compiled = Hashtbl.create 8 in
-  (* compile key -> (linked, diag-body) result *)
-  List.iter
-    (fun (_, (r : Proto.run_req)) ->
-      let ckey = Proto.compile_key r in
-      if not (Hashtbl.mem compiled ckey) then
+  let image (r : Proto.run_req) =
+    let ckey = Proto.compile_key r in
+    match Hashtbl.find_opt compiled ckey with
+    | Some outcome -> outcome
+    | None ->
         let outcome =
           match Cache.find_compiled cache ~key:ckey with
-          | Some linked -> Ok linked
+          | Some image -> Ok image
           | None -> (
               let flags = Proto.flags_of_off r.flags_off in
               match Ddsm.compile_source ~flags ~fname:r.fname r.source with
@@ -197,42 +197,39 @@ let process_round t round =
                         (Proto.error_body ~code:"user" ~phase:"link"
                            ~internal:false (String.concat "\n" es))
                   | Ok (_, linked) ->
-                      Cache.store_compiled cache ~key:ckey linked;
-                      Ok linked))
+                      let image = Ddsm.encode_image linked in
+                      Cache.store_compiled cache ~key:ckey image;
+                      Ok image))
         in
-        Hashtbl.add compiled ckey outcome)
-    work;
-  (* fan the distinct simulations out over the Jobs pool; each job owns a
-     fresh runtime, so results in work-list order are deterministic *)
-  let results =
-    Jobs.map ~jobs:t.cfg.workers
-      (fun (_, (r : Proto.run_req)) ->
-        match Hashtbl.find compiled (Proto.compile_key r) with
-        | Error body -> body
-        | Ok linked -> (
-            match simulate t.cfg linked r with
-            | Ok o ->
-                Proto.ok_body ~cycles:o.Ddsm.Engine.cycles
-                  ~prints:o.Ddsm.Engine.prints
-            | Error d -> body_of_diag d))
-      work
+        Hashtbl.add compiled ckey outcome;
+        outcome
   in
-  List.iter2
-    (fun (key, _) body -> Cache.store_sim cache ~key body)
-    work results;
-  (* reply in round order — per client that is request order *)
   List.iter
-    (fun (c, (r : Proto.run_req), res) ->
+    (fun (c, (r : Proto.run_req)) ->
+      let key = Proto.sim_key r in
       let body =
-        match res with
-        | `Ready body -> body
-        | `Pending key -> (
-            match Cache.find_sim cache ~key with
-            | Some body -> body
-            | None -> assert false)
+        match Cache.find_sim cache ~key with
+        | Some body ->
+            (* cached, or computed for a sibling earlier in this round *)
+            cache.Cache.sim_hits <- cache.Cache.sim_hits + 1;
+            body
+        | None ->
+            cache.Cache.sim_misses <- cache.Cache.sim_misses + 1;
+            let body =
+              match image r with
+              | Error body -> body
+              | Ok image -> (
+                  match simulate t.cfg image r with
+                  | Ok o ->
+                      Proto.ok_body ~cycles:o.Ddsm.Engine.cycles
+                        ~prints:o.Ddsm.Engine.prints
+                  | Error d -> body_of_diag d)
+            in
+            Cache.store_sim cache ~key body;
+            body
       in
       send c (Proto.reply ~id:r.Proto.id body))
-    entries
+    round
 
 (* ------------------------------------------------------------------ *)
 (* Control loop *)
@@ -281,8 +278,7 @@ let read_client t c =
   | 0 | (exception U.Unix_error (U.ECONNRESET, _, _)) ->
       c.alive <- false;
       (* a dead client's queued work is dropped: nobody can receive it *)
-      Queue.clear c.pending;
-      U.close c.fd
+      Queue.clear c.pending
   | n ->
       let rec newline i = if i >= n || Bytes.get bytes i = '\n' then i else newline (i + 1) in
       let rec go start =
@@ -323,11 +319,48 @@ let create cfg =
     cache = Cache.create ?dir:cfg.cache_dir ();
     lfd;
     clients = [];
+    accepting = true;
     stop = false;
     shutdown_ack = None;
     requests = 0;
     rounds = 0;
   }
+
+(* A failed accept never stops the daemon. Out of descriptors, the
+   queued connection would make [select] report the listen socket again
+   at once, so it is left out until a descriptor may have come free. *)
+let accept t =
+  match U.accept t.lfd with
+  | cfd, _ ->
+      t.clients <-
+        t.clients
+        @ [
+            {
+              fd = cfd;
+              inbuf = Buffer.create 256;
+              skipping = false;
+              pending = Queue.create ();
+              alive = true;
+            };
+          ];
+      log t "client connected (%d live)" (List.length t.clients)
+  | exception U.Unix_error (e, fn, _) ->
+      if e = U.EMFILE || e = U.ENFILE then t.accepting <- false;
+      Printf.eprintf "pfld: %s: %s\n%!" fn (U.error_message e)
+
+(* Dead clients are closed here, and only here: a read of end-of-file and
+   a failed write both just mark them. *)
+let reap t =
+  t.clients <-
+    List.filter
+      (fun c ->
+        c.alive
+        || begin
+             U.close c.fd;
+             t.accepting <- true;
+             false
+           end)
+      t.clients
 
 let serve cfg =
   let t = create cfg in
@@ -350,7 +383,7 @@ let serve cfg =
     (match cfg.cache_dir with None -> "memory-only" | Some d -> d);
   Fun.protect
     ~finally:(fun () ->
-      List.iter (fun c -> if c.alive then U.close c.fd) t.clients;
+      List.iter (fun c -> U.close c.fd) t.clients;
       U.close t.lfd;
       (try Sys.remove cfg.sock_path with Sys_error _ -> ());
       List.iter (fun (s, b) -> ignore (Sys.signal s b)) !restore;
@@ -359,32 +392,23 @@ let serve cfg =
     (fun () ->
       while not t.stop do
         let fds =
-          t.lfd :: List.filter_map (fun c -> if c.alive then Some c.fd else None) t.clients
+          List.filter_map (fun c -> if c.alive then Some c.fd else None) t.clients
         in
+        let fds = if t.accepting then t.lfd :: fds else fds in
         let backlog =
           List.exists (fun c -> not (Queue.is_empty c.pending)) t.clients
         in
         (* with a backlog, only poll for new arrivals between rounds *)
         (match U.select fds [] [] (if backlog then 0.0 else 0.2) with
         | exception U.Unix_error (U.EINTR, _, _) -> ()
+        | [], _, _ when t.clients = [] ->
+            (* no client left to close: retry a paused listener after an
+               idle wait *)
+            t.accepting <- true
         | ready, _, _ ->
             List.iter
               (fun fd ->
-                if fd == t.lfd then begin
-                  let cfd, _ = U.accept t.lfd in
-                  t.clients <-
-                    t.clients
-                    @ [
-                        {
-                          fd = cfd;
-                          inbuf = Buffer.create 256;
-                          skipping = false;
-                          pending = Queue.create ();
-                          alive = true;
-                        };
-                      ];
-                  log t "client connected (%d live)" (List.length t.clients)
-                end
+                if fd == t.lfd then accept t
                 else
                   match
                     List.find_opt (fun c -> c.fd == fd && c.alive) t.clients
@@ -392,7 +416,7 @@ let serve cfg =
                   | Some c -> read_client t c
                   | None -> ())
               ready);
-        t.clients <- List.filter (fun c -> c.alive) t.clients;
+        reap t;
         (* one fair round per wakeup keeps newly-arrived clients from
            waiting behind a long backlog *)
         let round = build_round t (max 1 (t.cfg.workers * 4)) in

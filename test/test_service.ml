@@ -183,6 +183,7 @@ let with_file path f =
     (fun () -> f path)
 
 let sample = ([ "alpha"; "beta" ], 42)
+let svc_ctr = ref 0
 
 let load_sample ~kind ~path : (string list * int, string) result =
   Binfile.load ~kind ~path
@@ -305,6 +306,26 @@ let hello_src =
   \      print *, 'sum =', s\n\
   \      end\n"
 
+(* ~33M simulated cycles: a fraction of a second on the host *)
+let slow_src =
+  "      program slow\n\
+  \      integer n, i, k\n\
+  \      parameter (n = 4096)\n\
+  \      real*8 a(n), s\n\
+   c$distribute a(block)\n\
+   c$doacross local(i) affinity(i) = data(a(i))\n\
+  \      do i = 1, n\n\
+  \        a(i) = i\n\
+  \      enddo\n\
+  \      s = 0.0\n\
+  \      do k = 1, 800\n\
+  \        do i = 1, n\n\
+  \          s = s + a(i)\n\
+  \        enddo\n\
+  \      enddo\n\
+  \      print *, 'sum =', s\n\
+  \      end\n"
+
 let compile_hello () =
   match Ddsm.compile_source ~fname:"hello.pf" hello_src with
   | Ok o -> o
@@ -335,11 +356,87 @@ let test_loaders_are_total () =
           check_bool "kind confusion diagnosed" true
             (contains e "expected a image file"));
       Sys.remove (path ^ ".pfs");
+      (* a header claiming more bytes than exist is not allocated for *)
+      write_file path "DDSMBIN1 image 2 999999999999 00\n";
+      check_error_mentions "huge claimed length" "truncated" (Ddsm.load_image ~path);
+      check_error_mentions "a directory is located" (Filename.current_dir_name ^ ":")
+        (Ddsm.load_image ~path:Filename.current_dir_name);
       let linked = link_hello () in
       Ddsm.save_image linked ~path;
       match Ddsm.load_image ~path with
       | Ok _ -> ()
       | Error e -> Alcotest.failf "image roundtrip: %s" e)
+
+(* the in-memory half of the container: [decode] makes every check
+   [load] makes, on bytes instead of a file *)
+let test_binfile_decode_matrix () =
+  let good = Binfile.encode ~kind:"test" sample in
+  let decode s : (string list * int, string) result = Binfile.decode ~kind:"test" s in
+  (match decode good with
+  | Ok v -> check_bool "decode roundtrip" true (v = sample)
+  | Error e -> Alcotest.fail e);
+  with_file (tmpfile ()) (fun path ->
+      Binfile.save ~kind:"test" ~path sample;
+      check_str "encode is the bytes save writes" (read_file path) good);
+  let flipped = Bytes.of_string good in
+  let i = Bytes.length flipped - 3 in
+  Bytes.set flipped i (Char.chr (Char.code (Bytes.get flipped i) lxor 0xff));
+  let payload = Marshal.to_string sample [] in
+  List.iter
+    (fun (what, s, sub) -> check_error_mentions what sub (decode s))
+    [
+      ("truncated", String.sub good 0 (String.length good - 5), "truncated");
+      ("flipped payload byte", Bytes.to_string flipped, "digest mismatch");
+      ("wrong kind", Binfile.encode ~kind:"object" sample, "expected a test file");
+      ( "stale version",
+        Printf.sprintf "DDSMBIN1 test 1 %d %s\n%s" (String.length payload)
+          (Digest.to_hex (Digest.string payload))
+          payload,
+        "stale format version 1" );
+      ("trailing garbage", good ^ "extra", "trailing garbage");
+      ("length past the end", "DDSMBIN1 test 2 999999999999 00\n", "truncated");
+      ("empty", "", "empty file");
+      ("foreign", "#!/bin/sh\necho hi\n", "bad or missing magic");
+    ]
+
+(* ------------------------------------------------------------------ *)
+(* Cache: the compile cache holds encoded bytes, bounded in memory *)
+
+(* Two synthetic images just over half the bound each: the second evicts
+   the first, and an evicted entry still on disk comes back as a disk hit
+   (which in turn evicts the other). *)
+let test_cache_memory_bound () =
+  let image c = Binfile.encode ~kind:"image" (String.make (Cache.max_memory_bytes / 2) c) in
+  let a = image 'a' and b = image 'b' in
+  let hit t key = Cache.find_compiled t ~key in
+  (* memory only: an evicted entry is gone *)
+  let t = Cache.create () in
+  Cache.store_compiled t ~key:"a" a;
+  Cache.store_compiled t ~key:"b" b;
+  check_int "oldest evicted" 1 t.Cache.compile_evictions;
+  check_bool "newest kept" true (hit t "b" = Some b);
+  check_bool "evicted entry is a miss" true (hit t "a" = None);
+  check_int "one memory hit" 1 t.Cache.compile_hits;
+  check_int "one miss" 1 t.Cache.compile_misses;
+  (* with a cache directory *)
+  incr svc_ctr;
+  let dir = Printf.sprintf "tbound-%d-%d" (Unix.getpid ()) !svc_ctr in
+  Fun.protect
+    ~finally:(fun () ->
+      if Sys.file_exists dir then (
+        Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
+        Unix.rmdir dir))
+    (fun () ->
+      let t = Cache.create ~dir () in
+      Cache.store_compiled t ~key:"a" a;
+      Cache.store_compiled t ~key:"b" b;
+      check_str "disk holds the stored bytes" a (read_file (Filename.concat dir "a.pfi"));
+      check_bool "evicted entry comes back from disk" true (hit t "a" = Some a);
+      check_int "as a disk hit" 1 t.Cache.compile_disk_hits;
+      check_int "which evicts the other" 2 t.Cache.compile_evictions;
+      check_bool "then a memory hit" true (hit t "a" = Some a);
+      check_int "memory hits" 1 t.Cache.compile_hits;
+      check_int "no misses" 0 t.Cache.compile_misses)
 
 (* ------------------------------------------------------------------ *)
 (* Proto *)
@@ -472,8 +569,6 @@ let test_round_robin_order () =
 (* ------------------------------------------------------------------ *)
 (* Service: end-to-end over a real socket *)
 
-let svc_ctr = ref 0
-
 let with_service ?cache_dir ?(workers = 1) ?(budget = 0) f =
   incr svc_ctr;
   let sock = Printf.sprintf "tsvc-%d-%d.sock" (Unix.getpid ()) !svc_ctr in
@@ -558,6 +653,50 @@ let test_service_matches_oneshot () =
       Client.send c (Json.Obj [ ("op", Json.Str "ping"); ("id", Json.Int 5) ]);
       let p = recv_ok c in
       check_int "ping id" 5 (stat p "id"))
+
+(* one source at two processor counts in one round: each simulation
+   decodes its own image, and both replies match the one-shot run *)
+let test_service_two_procs_one_round () =
+  let oneshot nprocs =
+    match Ddsm.run_source ~nprocs ~heap_words:(1 lsl 20) hello_src with
+    | Ok o -> o
+    | Error e -> Alcotest.failf "oneshot: %s" e
+  in
+  with_service ~workers:2 (fun ~sock:_ c ->
+      let line r = Json.to_string (Proto.run_to_json r) ^ "\n" in
+      let both = line (mk_req ~id:1 ~nprocs:2 hello_src) ^ line (mk_req ~id:2 ~nprocs:4 hello_src) in
+      (* one write, so one read queues both before the round is built *)
+      ignore (Unix.write_substring c.Client.fd both 0 (String.length both));
+      List.iter
+        (fun (id, nprocs) ->
+          let j = recv_ok c and o = oneshot nprocs in
+          check_int "reply order" id (stat j "id");
+          check_int (Printf.sprintf "p%d cycles match oneshot" nprocs) o.Ddsm.Engine.cycles
+            (stat j "cycles");
+          check_bool (Printf.sprintf "p%d prints match oneshot" nprocs) true
+            (Proto.field j "prints"
+            = Some (Json.List (List.map (fun p -> Json.Str p) o.Ddsm.Engine.prints))))
+        [ (1, 2); (2, 4) ];
+      let s = stats c in
+      check_int "one round" 1 (stat s "rounds");
+      check_int "one compile" 1 (stat s "compile_misses");
+      check_int "two simulations" 2 (stat s "sim_misses"))
+
+(* a fast and a slow request in one round: the fast one is answered as
+   soon as it is done, not when the slow one sharing its round ends *)
+let test_service_reply_when_done () =
+  with_service (fun ~sock:_ c ->
+      let line r = Json.to_string (Proto.run_to_json r) ^ "\n" in
+      let both = line (mk_req ~id:1 hello_src) ^ line (mk_req ~id:2 slow_src) in
+      ignore (Unix.write_substring c.Client.fd both 0 (String.length both));
+      let fast = recv_ok c in
+      let t = Unix.gettimeofday () in
+      let slow = recv_ok c in
+      let gap = Unix.gettimeofday () -. t in
+      check_int "fast reply first" 1 (stat fast "id");
+      check_int "slow reply second" 2 (stat slow "id");
+      check_bool (Printf.sprintf "slow reply %.3f s after the fast one" gap) true (gap > 0.1);
+      check_int "one round" 1 (stat (stats c) "rounds"))
 
 let test_service_compile_error_reply () =
   with_service (fun ~sock:_ c ->
@@ -721,6 +860,70 @@ let test_service_warm_restart () =
       check_int "corrupt entry rejected" 1 (stat fs "compile_disk_rejects");
       check_int "and recompiled" 1 (stat fs "compile_misses"))
 
+(* pfld as a process under a descriptor limit far below the number of
+   connecting clients: a failed accept is logged, not fatal; the daemon
+   keeps answering the clients it holds and accepts again once they close *)
+let test_service_accept_exhaustion () =
+  incr svc_ctr;
+  let sock = Printf.sprintf "tfd-%d-%d.sock" (Unix.getpid ()) !svc_ctr in
+  let pfld = Filename.concat (Filename.dirname Sys.executable_name) "../bin/pfld.exe" in
+  (* a daemon that died must fail the test, not kill it with SIGPIPE *)
+  let sigpipe = Sys.signal Sys.sigpipe Sys.Signal_ignore in
+  let devnull = Unix.openfile "/dev/null" [ Unix.O_RDWR ] 0 in
+  let pid =
+    Fun.protect
+      ~finally:(fun () -> Unix.close devnull)
+      (fun () ->
+        Unix.create_process "/bin/sh"
+          [| "sh"; "-c"; {|ulimit -n 16 && exec "$0" -s "$1" --no-cache-dir|}; pfld; sock |]
+          devnull devnull devnull)
+  in
+  let status = ref None in
+  let running () =
+    (if !status = None then
+       match Unix.waitpid [ Unix.WNOHANG ] pid with
+       | 0, _ -> ()
+       | _, st -> status := Some st);
+    !status = None
+  in
+  let rec conn tries =
+    match Client.connect ~sock with
+    | Ok c -> c
+    | Error e ->
+        if tries = 0 || not (running ()) then Alcotest.failf "connect: %s" e
+        else (
+          Unix.sleepf 0.01;
+          conn (tries - 1))
+  in
+  let ping c id =
+    match Client.rpc c (Json.Obj [ ("op", Json.Str "ping"); ("id", Json.Int id) ]) with
+    | Ok j -> check_int "ping answered" id (stat j "id")
+    | Error e -> Alcotest.failf "ping %d: %s" id e
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      if running () then begin
+        Unix.kill pid Sys.sigkill;
+        ignore (Unix.waitpid [] pid)
+      end;
+      Sys.set_signal Sys.sigpipe sigpipe;
+      try Sys.remove sock with Sys_error _ -> ())
+    (fun () ->
+      let first = conn 500 in
+      let rest = List.init 29 (fun _ -> conn 0) in
+      ping first 1;
+      (* a second ping after the rest had time to hit the limit *)
+      Unix.sleepf 0.3;
+      ping first 2;
+      check_bool "daemon outlives the failed accepts" true (running ());
+      List.iter Client.close (first :: rest);
+      let again = conn 500 in
+      ping again 3;
+      ignore (Client.rpc again (Json.Obj [ ("op", Json.Str "shutdown"); ("id", Json.Int 4) ]));
+      Client.close again;
+      if !status = None then status := Some (snd (Unix.waitpid [] pid));
+      check_bool "exit 0 after shutdown" true (!status = Some (Unix.WEXITED 0)))
+
 let test_service_shutdown_op () =
   with_service (fun ~sock:_ c ->
       send_run c (mk_req ~id:1 hello_src);
@@ -760,6 +963,11 @@ let () =
           Alcotest.test_case "trailing garbage" `Quick test_binfile_trailing_garbage;
           Alcotest.test_case "crash atomicity" `Quick test_binfile_crash_atomicity;
           Alcotest.test_case "loaders are total" `Quick test_loaders_are_total;
+          Alcotest.test_case "decode matrix" `Quick test_binfile_decode_matrix;
+        ] );
+      ( "compile cache",
+        [
+          Alcotest.test_case "memory bound" `Quick test_cache_memory_bound;
         ] );
       ( "proto",
         [
@@ -772,6 +980,8 @@ let () =
         [
           Alcotest.test_case "round-robin fairness" `Quick test_round_robin_order;
           Alcotest.test_case "matches one-shot" `Quick test_service_matches_oneshot;
+          Alcotest.test_case "two procs, one round" `Quick test_service_two_procs_one_round;
+          Alcotest.test_case "reply when done" `Quick test_service_reply_when_done;
           Alcotest.test_case "compile error reply" `Quick test_service_compile_error_reply;
           Alcotest.test_case "proto error reply" `Quick test_service_proto_error_reply;
           Alcotest.test_case "line cap" `Quick test_service_line_cap;
@@ -780,5 +990,7 @@ let () =
             test_service_concurrent_identical_batches;
           Alcotest.test_case "warm restart" `Quick test_service_warm_restart;
           Alcotest.test_case "shutdown drains" `Quick test_service_shutdown_op;
+          Alcotest.test_case "accept survives fd exhaustion" `Quick
+            test_service_accept_exhaustion;
         ] );
     ]
